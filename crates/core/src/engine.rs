@@ -4,9 +4,14 @@
 //! per client or per tenant — over a single storage system and
 //! allocation. Each stream is a full [`SessionState`] with its own disk
 //! load feedback; streams are partitioned across shards by
-//! `stream % num_shards`, each shard owning one [`Workspace`] and the
-//! states of its streams. With more than one shard,
-//! [`Engine::submit_batch`] runs the shards on scoped worker threads.
+//! `stream % num_shards`, each shard owning the states of its streams and
+//! the lanes (workspaces) it solves on.
+//!
+//! Every admitted query, whether it came through [`Engine::submit_batch`]
+//! or the online [`Engine::serve`](crate::serve) loop, runs through one
+//! drain (see [`Engine::serve`](crate::serve)): admitted items → per-stream groups → lanes →
+//! ordered finish. `submit_batch` is a thin adapter: a virtual-clock
+//! serving run whose queues start out holding the whole batch.
 //!
 //! Because a stream lives wholly inside one shard and every shard
 //! processes its queries in input order, batch results are deterministic:
@@ -40,8 +45,10 @@ use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
 use crate::obs::slo::SloPolicy;
+use crate::obs::span::QuerySpan;
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
+use crate::serve::{ClockState, ServeConfig, ServeError};
 use crate::session::{ReuseCounters, ReusePolicy, SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
 use crate::spec::{AnySolver, ArenaLayout, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
@@ -53,7 +60,7 @@ use rds_storage::model::SystemConfig;
 use rds_storage::time::Micros;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One query of a batch: which stream it belongs to, when it arrives,
 /// and what it asks for.
@@ -91,35 +98,6 @@ impl Default for RetryPolicy {
             max_retries: 0,
             backoff: Micros::from_millis(1),
         }
-    }
-}
-
-/// Time source for fault probes during replanning.
-///
-/// Batch runs probe the fault schedule on the *simulated* clock (the
-/// query's arrival plus deterministic backoff steps), so results never
-/// depend on wall time. The real-time serving loop
-/// ([`Engine::serve`](crate::serve)) instead probes the wall clock, so a
-/// disk that recovers *while a query is in flight* is observed by the
-/// retry loop — not only in simulated-clock tests.
-pub(crate) trait ProbeClock: Sync {
-    /// The current time as seen by a query that arrived at `arrival`.
-    /// Virtual clocks return `arrival` itself.
-    fn now(&self, arrival: Micros) -> Micros;
-
-    /// Blocks until `t` (real clocks only; virtual clocks return
-    /// immediately — simulated backoff needs no waiting).
-    fn wait_until(&self, t: Micros) {
-        let _ = t;
-    }
-}
-
-/// The batch-mode clock: time is wherever the query's arrival says it is.
-pub(crate) struct ArrivalClock;
-
-impl ProbeClock for ArrivalClock {
-    fn now(&self, arrival: Micros) -> Micros {
-        arrival
     }
 }
 
@@ -295,7 +273,7 @@ impl MetricsSnapshot {
 }
 
 /// The latency histograms an [`Engine`] maintains across batches, merged
-/// from per-shard recordings after each batch (shards record into private
+/// from per-shard recordings after each run (shards record into private
 /// copies, so the hot path never contends).
 #[must_use]
 #[derive(Clone, Debug, Default)]
@@ -311,7 +289,16 @@ pub struct EngineMetrics {
     pub turnaround_us: Histogram,
 }
 
-/// Counters and histograms a shard reports back from one batch run.
+impl EngineMetrics {
+    fn merge(&mut self, other: &EngineMetrics) {
+        self.solve_latency_us.merge(&other.solve_latency_us);
+        self.probes_per_solve.merge(&other.probes_per_solve);
+        self.turnaround_us.merge(&other.turnaround_us);
+    }
+}
+
+/// Counters and histograms a shard (or one of its lanes) reports back
+/// from a run.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ShardTally {
     pub(crate) retries: u64,
@@ -331,18 +318,10 @@ impl ShardTally {
         stats.shard_failures += self.shard_failures;
         stats.fused_batches += self.fused_batches;
         stats.fused_queries += self.fused_queries;
-        metrics
-            .solve_latency_us
-            .merge(&self.metrics.solve_latency_us);
-        metrics
-            .probes_per_solve
-            .merge(&self.metrics.probes_per_solve);
-        metrics.turnaround_us.merge(&self.metrics.turnaround_us);
+        metrics.merge(&self.metrics);
     }
 
-    /// Folds a per-lane tally into this shard-level one (used by the
-    /// fused drain, which tallies each lane privately and merges in
-    /// deterministic group order).
+    /// Folds a lane's tally into this shard-level one.
     pub(crate) fn merge(&mut self, other: &ShardTally) {
         self.retries += other.retries;
         self.degraded_solves += other.degraded_solves;
@@ -350,380 +329,164 @@ impl ShardTally {
         self.shard_failures += other.shard_failures;
         self.fused_batches += other.fused_batches;
         self.fused_queries += other.fused_queries;
-        self.metrics
-            .solve_latency_us
-            .merge(&other.metrics.solve_latency_us);
-        self.metrics
-            .probes_per_solve
-            .merge(&other.metrics.probes_per_solve);
-        self.metrics
-            .turnaround_us
-            .merge(&other.metrics.turnaround_us);
+        self.metrics.merge(&other.metrics);
     }
 }
 
-/// One worker's slice of the engine: a reusable workspace plus the states
-/// of the streams this shard owns.
+/// One solve lane: a workspace plus its health scratch map, refreshed per
+/// query from the fault schedule.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    pub(crate) workspace: Workspace,
+    health: HealthMap,
+}
+
+/// One worker's slice of the engine: the states of the streams this
+/// shard owns and the lanes it solves them on.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub(crate) workspace: Workspace,
+    /// The lane a single-lane drain runs on, inline on the shard's own
+    /// thread. It is the only workspace that may hold the engine's
+    /// [`WorkerPool`] (intra-solve parallelism).
+    pub(crate) inline: Lane,
+    /// Free list of pool lanes for fused drains: detached workspaces with
+    /// plane sharing on, one checked out per stream group. They never
+    /// hold the pool — they run *inside* a pool task, and dispatching on
+    /// the same pool from a task would deadlock. Steady state allocates
+    /// no new lane once the list has grown to the widest drain.
+    pub(crate) lanes: Vec<Lane>,
     pub(crate) states: HashMap<usize, SessionState>,
-    /// Scratch health map, refreshed per query from the fault schedule.
-    health: HealthMap,
-    /// Finished [`crate::obs::span::QuerySpan`]s from the serving loop
-    /// (always-on, bounded; see [`FlightRecorder`]). Batch runs leave it
-    /// empty — spans are only armed by [`Engine::serve`](crate::serve).
+    /// Finished [`QuerySpan`]s from the serving loop (always-on, bounded;
+    /// see [`FlightRecorder`]). `submit_batch` runs record no spans.
     pub(crate) recorder: FlightRecorder,
-    /// Recycled solve lanes for the fused drain path — a free list of
-    /// detached workspaces with plane sharing enabled, checked out one
-    /// per distinct-stream group and returned after the drain. Steady
-    /// state never allocates a new lane once the list has grown to the
-    /// batch's group count.
-    pub(crate) lanes: Vec<FusedLane>,
 }
 
-/// One detached solve lane of the fused batch path: a private
-/// [`Workspace`] (plane sharing on, so it checks out the instance's
-/// topology plane instead of deep-copying the arena) and a private
-/// health scratch map. Lanes never hold a [`WorkerPool`] — a fused lane
-/// runs *inside* a pool task, and dispatching on the same pool from a
-/// task would deadlock.
-#[derive(Debug, Default)]
-pub(crate) struct FusedLane {
-    pub(crate) workspace: Workspace,
-    pub(crate) health: HealthMap,
-}
-
-/// Engine-wide fault handling knobs, shared read-only by every shard.
-pub(crate) struct FaultConfig<'f> {
-    pub(crate) injector: Option<&'f FaultInjector>,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) degraded: bool,
-}
-
-/// Read-only context shared by every shard for the duration of one batch.
-pub(crate) struct BatchCtx<'c, A: ?Sized, S: ?Sized> {
+/// Read-only context of one run, shared by every shard and lane.
+pub(crate) struct DrainCtx<'c, A: ?Sized, S: ?Sized> {
     pub(crate) system: &'c SystemConfig,
     pub(crate) alloc: &'c A,
     pub(crate) solver: &'c S,
-    pub(crate) faults: FaultConfig<'c>,
+    pub(crate) injector: Option<&'c FaultInjector>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) degraded: bool,
     pub(crate) reuse: ReusePolicy,
     pub(crate) objective: ScheduleObjective,
+    /// Decides when the fault schedule is probed: at the arrival (virtual
+    /// time, deterministic) or on the wall clock, so mid-flight health
+    /// transitions are seen by the retry loop.
+    pub(crate) clock: &'c ClockState,
+    /// The pool fused drains fan out over; `None` unless
+    /// [`SolverSpec::batch_fuse`] is on.
+    pub(crate) pool: Option<&'c WorkerPool>,
+    /// Arena layout of new pool lanes (mirrors the inline lanes).
+    pub(crate) lane_layout: ArenaLayout,
 }
 
-/// One shard's batch output: its tally plus `(original_index, result)`
-/// pairs for the queries it owned.
-type ShardOutput = (
-    ShardTally,
-    Vec<(usize, Result<SessionOutcome, EngineError>)>,
-);
+/// One admitted query on its way to a lane: the query, the budget and
+/// span to arm for it, and a caller tag returned with its result.
+pub(crate) struct DrainItem<T> {
+    pub(crate) query: BatchQuery,
+    /// Caps real-clock retry backoff waits.
+    pub(crate) deadline: Option<Micros>,
+    pub(crate) budget: SolveBudget,
+    pub(crate) span: Option<QuerySpan>,
+    pub(crate) tag: T,
+}
 
-impl Shard {
-    /// Runs this shard's queries (given by index into `queries`) in input
-    /// order, appending `(original_index, result)` pairs to `out`.
-    fn run<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-        &mut self,
-        shard_idx: usize,
-        ctx: &BatchCtx<'_, A, S>,
-        queries: &[BatchQuery],
-        indices: &[usize],
-        out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-    ) -> ShardTally {
-        let mut tally = ShardTally::default();
-        self.workspace.tracer.emit(TraceEvent::ShardBatch {
-            shard: shard_idx as u32,
-            queries: indices.len() as u32,
-        });
-        for &i in indices {
-            let q = &queries[i];
-            // Contain panics to the query that hit them: the poisoned
-            // stream's state is dropped (fresh clock on its next query),
-            // everything else in the batch proceeds.
-            let started = std::time::Instant::now();
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                self.run_one(ctx, q, &ArrivalClock, &mut tally)
-            }));
-            match caught {
-                Ok(result) => {
-                    tally
-                        .metrics
-                        .solve_latency_us
-                        .record(started.elapsed().as_micros() as u64);
-                    if let Ok(o) = &result {
-                        tally
-                            .metrics
-                            .probes_per_solve
-                            .record(o.outcome.stats.probes);
-                        tally
-                            .metrics
-                            .turnaround_us
-                            .record((o.completion - o.arrival).as_micros());
-                    }
-                    out.push((i, result));
-                }
-                Err(_) => {
-                    self.states.remove(&q.stream);
-                    tally.shard_failures += 1;
-                    out.push((i, Err(EngineError::ShardFailed { shard: shard_idx })));
-                }
-            }
-        }
-        tally
-    }
-
-    /// Solves one query under the health in force at its arrival, with
-    /// bounded replanning and an optional degraded fallback.
-    ///
-    /// `clock` decides *when* the fault schedule is probed: batch runs use
-    /// [`ArrivalClock`] (pure simulated time — deterministic), the serving
-    /// loop passes its real clock so mid-flight health transitions are
-    /// seen by the retry loop.
-    pub(crate) fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-        &mut self,
-        ctx: &BatchCtx<'_, A, S>,
-        q: &BatchQuery,
-        clock: &dyn ProbeClock,
-        tally: &mut ShardTally,
-    ) -> Result<SessionOutcome, EngineError> {
-        let state = self
-            .states
-            .entry(q.stream)
-            .or_insert_with(|| new_stream_state(ctx));
-        run_one_core(
-            ctx,
-            q,
-            state,
-            &mut self.workspace,
-            &mut self.health,
-            clock,
-            tally,
-        )
-    }
-
-    /// Drains this shard's queries through the fused path: queries are
-    /// grouped by stream (preserving input order within a group — streams
-    /// are load-coupled through `busy_until`, so only *distinct* streams
-    /// are independent), each group runs serially on its own checked-out
-    /// [`FusedLane`], and the groups execute concurrently as one task
-    /// batch on the shared `pool`. Results and tallies are merged in
-    /// deterministic group order, so the output is bit-identical to the
-    /// serial [`Shard::run`].
-    ///
-    /// Falls back to the serial path when fewer than two stream groups
-    /// exist — there is nothing to fuse.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_fused<
-        A: ReplicaSource + Sync + ?Sized,
-        S: RetrievalSolver + Sync + ?Sized,
-    >(
-        &mut self,
-        shard_idx: usize,
-        ctx: &BatchCtx<'_, A, S>,
-        queries: &[BatchQuery],
-        indices: &[usize],
-        pool: &WorkerPool,
-        lane_layout: ArenaLayout,
-        budget: SolveBudget,
-        out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-    ) -> ShardTally {
-        // Group by stream, preserving both group discovery order and
-        // intra-group query order.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<usize, usize> = HashMap::new();
-        for &i in indices {
-            let stream = queries[i].stream;
-            let g = *group_of.entry(stream).or_insert_with(|| {
-                groups.push((stream, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(i);
-        }
-        if groups.len() < 2 {
-            return self.run(shard_idx, ctx, queries, indices, out);
-        }
-
-        let mut tally = ShardTally {
-            fused_batches: 1,
-            fused_queries: indices.len() as u64,
-            ..ShardTally::default()
-        };
-        self.workspace.tracer.emit(TraceEvent::ShardBatch {
-            shard: shard_idx as u32,
-            queries: indices.len() as u32,
-        });
-        self.ensure_lanes(groups.len(), lane_layout, budget);
-
-        // Move each group's stream state out of the shard map for the
-        // duration of the drain (a stream lives in exactly one group).
-        let mut lane_states: Vec<Option<SessionState>> = groups
-            .iter()
-            .map(|(stream, _)| self.states.remove(stream))
-            .collect();
-        let mut lane_tallies: Vec<ShardTally> =
-            groups.iter().map(|_| ShardTally::default()).collect();
-        let mut lane_outs: Vec<Vec<(usize, Result<SessionOutcome, EngineError>)>> = groups
-            .iter()
-            .map(|(_, g)| Vec::with_capacity(g.len()))
-            .collect();
-
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self.lanes[..groups.len()]
-                .iter_mut()
-                .zip(lane_states.iter_mut())
-                .zip(lane_tallies.iter_mut())
-                .zip(lane_outs.iter_mut())
-                .zip(groups.iter())
-                .map(|((((lane, state), lane_tally), lane_out), (_, group))| {
-                    Box::new(move || {
-                        run_lane(
-                            shard_idx, ctx, queries, group, lane, state, lane_tally, lane_out,
-                        )
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_tasks(tasks);
-        }
-
-        // Deterministic merge in group order: states back into the map,
-        // per-lane tallies and results into the shard-level output.
-        for ((stream, _), state) in groups.iter().zip(lane_states) {
-            if let Some(state) = state {
-                self.states.insert(*stream, state);
-            }
-        }
-        for lane_tally in &lane_tallies {
-            tally.merge(lane_tally);
-        }
-        for lane_out in lane_outs {
-            out.extend(lane_out);
-        }
-        self.absorb_lane_traces(groups.len());
-        tally
-    }
-
-    /// Grows the lane free list to `n` and re-arms the first `n` lanes
-    /// with the engine budget. Lanes inherit the shard's arena layout and
-    /// run with plane sharing on; when the shard workspace has a trace
-    /// recorder, each lane gets a small private one so per-kind counts
-    /// stay exact (folded back by [`Shard::absorb_lane_traces`]).
-    pub(crate) fn ensure_lanes(&mut self, n: usize, layout: ArenaLayout, budget: SolveBudget) {
-        let record = self.workspace.recorder().is_some();
-        while self.lanes.len() < n {
-            let mut lane = FusedLane::default();
-            lane.workspace.set_arena_layout(layout);
-            lane.workspace.set_plane_sharing(true);
-            self.lanes.push(lane);
-        }
-        for lane in &mut self.lanes[..n] {
-            lane.workspace.arm_budget(budget);
-            if record && lane.workspace.recorder().is_none() {
-                lane.workspace.install_recorder(64);
-            }
-        }
-    }
-
-    /// Folds the first `n` lanes' trace counts into the shard recorder so
-    /// per-kind totals (e.g. plane checkouts) survive with tracing on;
-    /// ring contents stay per-lane (cross-lane event order is undefined).
-    pub(crate) fn absorb_lane_traces(&mut self, n: usize) {
-        let n = n.min(self.lanes.len());
-        let Some(rec) = self.workspace.recorder_mut() else {
-            return;
-        };
-        for lane in &mut self.lanes[..n] {
-            if let Some(lane_rec) = lane.workspace.recorder() {
-                rec.absorb_counts(lane_rec);
-            }
-            if let Some(lane_rec) = lane.workspace.recorder_mut() {
-                lane_rec.clear();
-            }
-        }
-    }
+/// A lane's answer for one [`DrainItem`].
+pub(crate) struct Drained<T> {
+    /// [`EngineError::ShardFailed`] exactly when the solve panicked.
+    pub(crate) result: Result<SessionOutcome, EngineError>,
+    /// Wall time of the solve, including retries and the degraded
+    /// fallback.
+    pub(crate) solve_us: u64,
+    /// The item's span, disarmed after the solve.
+    pub(crate) span: Option<QuerySpan>,
+    pub(crate) tag: T,
 }
 
 /// Creates the session state for a stream's first query under `ctx`'s
 /// policies.
-pub(crate) fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &BatchCtx<'_, A, S>) -> SessionState {
+fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &DrainCtx<'_, A, S>) -> SessionState {
     let mut s = SessionState::with_reuse(ctx.system.num_disks(), ctx.reuse);
     s.set_objective(ctx.objective);
     s
 }
 
-/// Runs one stream group serially on its checked-out lane: the fused
-/// counterpart of the loop body in [`Shard::run`], with identical panic
-/// containment (the poisoned stream restarts fresh on its next query;
-/// batchmates proceed).
-#[allow(clippy::too_many_arguments)]
-fn run_lane<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    ctx: &BatchCtx<'_, A, S>,
-    queries: &[BatchQuery],
-    group: &[usize],
-    lane: &mut FusedLane,
-    state: &mut Option<SessionState>,
-    tally: &mut ShardTally,
-    out: &mut Vec<(usize, Result<SessionOutcome, EngineError>)>,
-) {
-    for &i in group {
-        let q = &queries[i];
-        let started = std::time::Instant::now();
-        let st = state.get_or_insert_with(|| new_stream_state(ctx));
+impl Lane {
+    /// Solves one item on this lane with its budget and span armed. This
+    /// is the one panic-containment policy: a panicking solve drops its
+    /// stream's state (a fresh clock on the stream's next query),
+    /// reclaims the lane workspace, counts a shard failure and a
+    /// solve-latency sample, and leaves batchmates unharmed.
+    pub(crate) fn solve<A, S, T>(
+        &mut self,
+        shard_idx: usize,
+        ctx: &DrainCtx<'_, A, S>,
+        states: &mut HashMap<usize, SessionState>,
+        item: DrainItem<T>,
+        tally: &mut ShardTally,
+    ) -> Drained<T>
+    where
+        A: ReplicaSource + ?Sized,
+        S: RetrievalSolver + ?Sized,
+    {
+        let DrainItem {
+            query,
+            deadline,
+            budget,
+            span,
+            tag,
+        } = item;
+        if let Some(span) = span {
+            self.workspace.tracer.arm_span(span);
+        }
+        self.workspace.arm_budget(budget);
+        let started = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_one_core(
-                ctx,
-                q,
-                st,
-                &mut lane.workspace,
-                &mut lane.health,
-                &ArrivalClock,
-                tally,
-            )
+            let state = states
+                .entry(query.stream)
+                .or_insert_with(|| new_stream_state(ctx));
+            run_one(ctx, &query, deadline, state, self, tally)
         }));
-        match caught {
-            Ok(result) => {
-                tally
-                    .metrics
-                    .solve_latency_us
-                    .record(started.elapsed().as_micros() as u64);
-                if let Ok(o) = &result {
-                    tally
-                        .metrics
-                        .probes_per_solve
-                        .record(o.outcome.stats.probes);
-                    tally
-                        .metrics
-                        .turnaround_us
-                        .record((o.completion - o.arrival).as_micros());
-                }
-                out.push((i, result));
-            }
-            Err(_) => {
-                *state = None;
-                tally.shard_failures += 1;
-                out.push((i, Err(EngineError::ShardFailed { shard: shard_idx })));
-            }
+        let solve_us = started.elapsed().as_micros() as u64;
+        tally.metrics.solve_latency_us.record(solve_us);
+        let result = caught.unwrap_or_else(|_| {
+            states.remove(&query.stream);
+            let _ = self.workspace.take_poisoned();
+            tally.shard_failures += 1;
+            Err(EngineError::ShardFailed { shard: shard_idx })
+        });
+        if let Ok(o) = &result {
+            let metrics = &mut tally.metrics;
+            metrics.probes_per_solve.record(o.outcome.stats.probes);
+            metrics
+                .turnaround_us
+                .record((o.completion - o.arrival).as_micros());
+        }
+        Drained {
+            result,
+            solve_us,
+            span: self.workspace.tracer.disarm_span(),
+            tag,
         }
     }
 }
 
-/// Solves one query for `state` on the given workspace/health scratch —
-/// the shared core of the serial per-shard path ([`Shard::run_one`]) and
-/// the fused lane path ([`run_lane`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    ctx: &BatchCtx<'_, A, S>,
+/// Solves one query for `state` on `lane` under the health in force when
+/// it is probed, with bounded replanning and an optional degraded
+/// fallback.
+fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
+    ctx: &DrainCtx<'_, A, S>,
     q: &BatchQuery,
+    deadline: Option<Micros>,
     state: &mut SessionState,
-    workspace: &mut Workspace,
-    health: &mut HealthMap,
-    clock: &dyn ProbeClock,
+    lane: &mut Lane,
     tally: &mut ShardTally,
 ) -> Result<SessionOutcome, EngineError> {
-    let faults = &ctx.faults;
-    if let Some(inj) = faults.injector {
-        // On a real clock a query observed later than it arrived sees
-        // the *current* health, not the health at arrival.
-        inj.health_at(clock.now(q.arrival).max(q.arrival), health);
+    let Lane { workspace, health } = lane;
+    if let Some(inj) = ctx.injector {
+        inj.health_at(ctx.clock.probe_time(q.arrival), health);
     } else {
         health.reset();
     }
@@ -746,18 +509,24 @@ pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Size
     // and re-solve whenever the health actually changed. Only
     // infeasibility is retryable — it is the one error a recovered
     // disk can cure.
-    if let Some(inj) = faults.injector {
+    if let Some(inj) = ctx.injector {
         let mut attempt = 0u32;
-        while attempt < faults.retry.max_retries && is_infeasible(&result) {
+        while attempt < ctx.retry.max_retries && is_infeasible(&result) {
             attempt += 1;
             // Probe at the scheduled backoff step or the current real
             // time, whichever is later. Virtual clocks never wait and
-            // report `arrival`, so batch behavior is unchanged; the
-            // serving loop's real clock sleeps out the backoff (capped
-            // by the query deadline) and sees mid-flight recoveries.
-            let target = q.arrival + faults.retry.backoff * attempt as u64;
-            clock.wait_until(target);
-            let probe = target.max(clock.now(q.arrival));
+            // probe at the step itself; the real clock sleeps out the
+            // backoff (capped by the deadline) and sees mid-flight
+            // recoveries.
+            let target = ctx
+                .retry
+                .backoff
+                .as_micros()
+                .checked_mul(u64::from(attempt))
+                .and_then(|step| q.arrival.checked_add(Micros::from_micros(step)))
+                .ok_or(SessionError::ClockOverflow { arrival: q.arrival })?;
+            ctx.clock.wait_until(target, deadline);
+            let probe = target.max(ctx.clock.probe_time(q.arrival));
             let before = health.fingerprint();
             inj.health_at(probe, health);
             if health.fingerprint() == before {
@@ -775,7 +544,7 @@ pub(crate) fn run_one_core<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Size
     }
 
     // Last resort in degraded mode: serve what still has a replica.
-    if faults.degraded && is_infeasible(&result) {
+    if ctx.degraded && is_infeasible(&result) {
         result = state.submit_degraded_with(
             ctx.system, ctx.alloc, ctx.solver, workspace, q.arrival, &q.buckets, health,
         );
@@ -795,8 +564,8 @@ fn is_infeasible(result: &Result<SessionOutcome, SessionError>) -> bool {
     )
 }
 
-/// A batch front-end that shards independent query streams across worker
-/// threads, each with a persistent [`Workspace`] and per-stream
+/// A front-end that shards independent query streams across worker
+/// threads, each with persistent [`Workspace`]s and per-stream
 /// [`SessionState`]s.
 pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     pub(crate) system: &'a SystemConfig,
@@ -816,13 +585,12 @@ pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     /// (they never reach a shard, so they get their own recorder).
     pub(crate) rejections: FlightRecorder,
     /// The shared worker pool, when one exists (parallel solver kind
-    /// and/or fused batch drains).
+    /// and/or fused drains).
     pub(crate) pool: Option<WorkerPool>,
-    /// Whether batch drains take the fused path (see
-    /// [`SolverSpec::batch_fuse`]). Requires `pool`.
+    /// Whether drains with two or more stream groups fan out over `pool`
+    /// (see [`SolverSpec::batch_fuse`]).
     pub(crate) batch_fuse: bool,
-    /// Arena layout fused lanes are configured with (mirrors the shard
-    /// workspaces).
+    /// Arena layout of pool lanes (mirrors the inline lanes).
     pub(crate) lane_layout: ArenaLayout,
 }
 
@@ -921,9 +689,9 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
     /// it in every shard workspace, so all shards (and every solve) reuse
     /// the same worker threads instead of spawning per solve.
     /// [`SolverSpec::batch_fuse`] also creates the pool (without
-    /// installing it in the workspaces — fused lanes must never dispatch
-    /// on the pool they run inside), so fused drains can schedule their
-    /// stream groups across it.
+    /// installing it in the workspaces — pool lanes must never dispatch
+    /// on the pool they run inside), so drains can fan their stream
+    /// groups out across it.
     pub fn build(self) -> Engine<'a, A, AnySolver> {
         let parallel_kind = matches!(self.spec.kind, SolverKind::ParallelPushRelabelBinary);
         let pool = (parallel_kind || self.spec.batch_fuse).then(|| {
@@ -951,9 +719,12 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
             engine = engine.with_flight_recorder(config);
         }
         for shard in &mut engine.shards {
-            shard.workspace.set_arena_layout(self.spec.arena_layout);
+            shard
+                .inline
+                .workspace
+                .set_arena_layout(self.spec.arena_layout);
             if let (Some(pool), true) = (&pool, parallel_kind) {
-                shard.workspace.set_worker_pool(pool.clone());
+                shard.inline.workspace.set_worker_pool(pool.clone());
             }
         }
         engine.pool = pool;
@@ -1007,7 +778,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         }
     }
 
-    /// Arms an anytime [`SolveBudget`] in every shard workspace: a solve
+    /// Sets the anytime [`SolveBudget`] armed for every query: a solve
     /// whose budget expires is finalized at the best feasible bound found
     /// so far instead of running to the exact optimum, with the gap
     /// reported in [`SolveStats::anytime_gap`](SolveStats). The serving
@@ -1015,9 +786,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// deadline.
     pub fn with_budget(mut self, budget: SolveBudget) -> Self {
         self.budget = budget;
-        for shard in &mut self.shards {
-            shard.workspace.arm_budget(budget);
-        }
         self
     }
 
@@ -1081,7 +849,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// No-op without the `trace` feature.
     pub fn with_tracing(mut self, capacity: usize) -> Self {
         for shard in &mut self.shards {
-            shard.workspace.install_recorder(capacity);
+            shard.inline.workspace.install_recorder(capacity);
         }
         self
     }
@@ -1140,21 +908,16 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         &self.stats
     }
 
-    /// Arena allocation events summed over every shard workspace and
-    /// fused lane, monotone over the engine's lifetime. Flat between two
+    /// Arena allocation events summed over every lane of every shard,
+    /// monotone over the engine's lifetime. Flat between two
     /// observations means the solves in between — including fused drains
     /// checking capacity planes out of the lane free list — reused
     /// existing buffers end to end.
     pub fn arena_allocation_events(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| {
-                s.workspace.arena_allocation_events()
-                    + s.lanes
-                        .iter()
-                        .map(|l| l.workspace.arena_allocation_events())
-                        .sum::<u64>()
-            })
+            .flat_map(|s| std::iter::once(&s.inline).chain(&s.lanes))
+            .map(|l| l.workspace.arena_allocation_events())
             .sum()
     }
 
@@ -1167,7 +930,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// The ring-buffer trace recorder of one shard, if tracing was
     /// enabled via [`Engine::with_tracing`].
     pub fn shard_recorder(&self, shard: usize) -> Option<&crate::obs::trace::Recorder> {
-        self.shards.get(shard)?.workspace.recorder()
+        self.shards.get(shard)?.inline.workspace.recorder()
     }
 
     /// Per-kind [`TraceEvent`] totals summed over every shard's recorder
@@ -1175,7 +938,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     pub fn trace_counts(&self) -> [u64; EventKind::COUNT] {
         let mut totals = [0u64; EventKind::COUNT];
         for shard in &self.shards {
-            if let Some(rec) = shard.workspace.recorder() {
+            if let Some(rec) = shard.inline.workspace.recorder() {
                 for (t, &c) in totals.iter_mut().zip(rec.counts()) {
                     *t += c;
                 }
@@ -1205,154 +968,57 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     /// even a panic inside a solver — are reported in place; they never
     /// abort the rest of the batch, and results from healthy streams are
     /// always returned.
+    ///
+    /// This is a virtual-clock [`Engine::serve`](crate::serve) run with
+    /// no admission limits and spans off, whose queues hold the whole
+    /// batch before admission closes: each shard drains its queries in
+    /// one go, probing faults at the arrivals, so results are
+    /// deterministic.
     pub fn submit_batch(
         &mut self,
         queries: &[BatchQuery],
     ) -> Vec<Result<SessionOutcome, EngineError>> {
-        let started = std::time::Instant::now();
         let num_shards = self.shards.len();
-        let ctx = BatchCtx {
-            system: self.system,
-            alloc: self.alloc,
-            solver: &self.solver,
-            faults: FaultConfig {
-                injector: self.injector.as_ref(),
-                retry: self.retry,
-                degraded: self.degraded,
-            },
-            reuse: self.reuse,
-            objective: self.objective,
-        };
-
-        // Route each query to its stream's home shard, preserving input
-        // order within the shard.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, q) in queries.iter().enumerate() {
-            by_shard[q.stream % num_shards].push(i);
+        let mut routed = vec![0u32; num_shards];
+        for q in queries {
+            routed[q.stream % num_shards] += 1;
         }
-
-        // Fused drains need the shared pool; without one (or with
-        // `batch_fuse` off) every shard takes the serial path.
-        let fuse_pool = if self.batch_fuse {
-            self.pool.clone()
-        } else {
-            None
-        };
-        let lane_layout = self.lane_layout;
-        let budget = self.budget;
-
-        let mut merged: Vec<Option<Result<SessionOutcome, EngineError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut tallies: Vec<ShardTally> = Vec::with_capacity(num_shards);
-        if num_shards == 1 {
-            let mut out = Vec::with_capacity(queries.len());
-            let tally = match &fuse_pool {
-                Some(pool) => self.shards[0].run_fused(
-                    0,
-                    &ctx,
-                    queries,
-                    &by_shard[0],
-                    pool,
-                    lane_layout,
-                    budget,
-                    &mut out,
-                ),
-                None => self.shards[0].run(0, &ctx, queries, &by_shard[0], &mut out),
-            };
-            tallies.push(tally);
-            for (i, r) in out {
-                merged[i] = Some(r);
-            }
-        } else {
-            let ctx = &ctx;
-            let fuse_pool = &fuse_pool;
-            let collected: Vec<Option<ShardOutput>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&by_shard)
-                    .enumerate()
-                    .map(|(shard_idx, (shard, indices))| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(indices.len());
-                            // Pool dispatch is serialized across shards;
-                            // the shard threads themselves already
-                            // provide cross-shard parallelism.
-                            let tally = match fuse_pool {
-                                Some(pool) => shard.run_fused(
-                                    shard_idx,
-                                    ctx,
-                                    queries,
-                                    indices,
-                                    pool,
-                                    lane_layout,
-                                    budget,
-                                    &mut out,
-                                ),
-                                None => shard.run(shard_idx, ctx, queries, indices, &mut out),
-                            };
-                            (tally, out)
-                        })
-                    })
-                    .collect();
-                // Per-query panics are contained inside `Shard::run`; a
-                // join failure means a panic escaped that containment
-                // (e.g. in the shard's own bookkeeping). Record it as a
-                // dead worker instead of propagating — the other shards'
-                // results are still good.
-                handles.into_iter().map(|h| h.join().ok()).collect()
+        for (shard_idx, (shard, queries)) in self.shards.iter_mut().zip(routed).enumerate() {
+            shard.inline.workspace.tracer.emit(TraceEvent::ShardBatch {
+                shard: shard_idx as u32,
+                queries,
             });
-            for (shard_idx, output) in collected.into_iter().enumerate() {
-                match output {
-                    Some((tally, out)) => {
-                        tallies.push(tally);
-                        for (i, r) in out {
-                            merged[i] = Some(r);
-                        }
-                    }
-                    None => {
-                        // Every query routed to the dead worker fails
-                        // typed; the shard restarts with fresh stream
-                        // states and a cleared workspace.
-                        let mut tally = ShardTally::default();
-                        tally.shard_failures += by_shard[shard_idx].len() as u64;
-                        tallies.push(tally);
-                        for &i in &by_shard[shard_idx] {
-                            merged[i] = Some(Err(EngineError::ShardFailed { shard: shard_idx }));
-                        }
-                        let shard = &mut self.shards[shard_idx];
-                        shard.states.clear();
-                        let _ = shard.workspace.take_poisoned();
-                    }
-                }
-            }
         }
-
-        let results: Vec<Result<SessionOutcome, EngineError>> = merged
+        let config = ServeConfig::default()
+            .virtual_time()
+            .queue_capacity(usize::MAX)
+            .batch_max(queries.len())
+            .record_spans(false);
+        let report = self.run_serving(config, Some(queries), |_| ());
+        // The batch is admitted first, so ticket `k + 1` is query `k`.
+        let mut results: Vec<Option<Result<SessionOutcome, EngineError>>> =
+            (0..queries.len()).map(|_| None).collect();
+        for r in report.unclaimed {
+            results[r.ticket.0 as usize - 1] = Some(r.result.map_err(|ServeError::Engine(e)| e));
+        }
+        // A shard worker that died outside per-query containment left
+        // its queries unanswered: they fail typed.
+        let mut lost = 0;
+        let results = results
             .into_iter()
-            .map(|r| r.expect("every query routed to exactly one shard"))
+            .zip(queries)
+            .map(|(r, q)| {
+                r.unwrap_or_else(|| {
+                    lost += 1;
+                    Err(EngineError::ShardFailed {
+                        shard: q.stream % num_shards,
+                    })
+                })
+            })
             .collect();
-
-        self.stats.batches += 1;
-        self.stats.queries += results.len() as u64;
-        self.stats.elapsed += started.elapsed();
-        for tally in &tallies {
-            tally.accumulate(&mut self.stats, &mut self.metrics);
-        }
-        for r in &results {
-            match r {
-                Ok(out) => self.stats.solve_stats.accumulate(&out.outcome.stats),
-                Err(_) => self.stats.errors += 1,
-            }
-        }
-        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
-        let mut reuse = ReuseCounters::default();
-        for shard in &self.shards {
-            for state in shard.states.values() {
-                reuse.merge(&state.reuse_counters());
-            }
-        }
-        self.stats.reuse = reuse;
+        self.stats.queries += lost;
+        self.stats.errors += lost;
+        self.stats.shard_failures += lost;
         results
     }
 }
@@ -1545,24 +1211,36 @@ mod tests {
             .map_err(|e| *e)
     }
 
+    /// Golden digest of [`fused_batches_are_bit_identical_to_serial`]:
+    /// response times, completions and schedules of the batch under both
+    /// arena widths, pinned from the implementation that still had
+    /// separate serial and fused drains, so the test keeps asserting
+    /// something now that every configuration runs the same drain.
+    const FUSED_BATCH_GOLDEN: u64 = 8_043_685_641_648_433_747;
+
     #[test]
     fn fused_batches_are_bit_identical_to_serial() {
+        use std::hash::{Hash, Hasher};
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let queries = batch(6, 4);
+        let mut digest = std::collections::hash_map::DefaultHasher::new();
         for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
             let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
                 .reuse(ReusePolicy::warm())
                 .arena_layout(layout);
-            let baseline: Vec<_> = {
-                let mut engine = Engine::builder(&system, &alloc).solver_spec(spec).build();
-                let got = engine.submit_batch(&queries);
-                assert_eq!(engine.stats().fused_batches, 0);
-                got.iter().map(outcome_key).collect()
-            };
-            for shards in [1usize, 2, 4] {
+            let mut baseline = None;
+            for (fuse, shards) in [1usize, 2, 4]
+                .map(|s| (false, s))
+                .into_iter()
+                .chain([1usize, 2, 4].map(|s| (true, s)))
+            {
                 let mut engine = Engine::builder(&system, &alloc)
-                    .solver_spec(spec.batch_fuse(true).parallelism(3))
+                    .solver_spec(if fuse {
+                        spec.batch_fuse(true).parallelism(3)
+                    } else {
+                        spec
+                    })
                     .shards(shards)
                     .build();
                 let got: Vec<_> = engine
@@ -1570,10 +1248,18 @@ mod tests {
                     .iter()
                     .map(outcome_key)
                     .collect();
-                assert_eq!(got, baseline, "{layout:?} {shards} shards");
+                let what = format!("{layout:?} fuse={fuse} {shards} shards");
+                match &baseline {
+                    None => baseline = Some(got),
+                    Some(want) => assert_eq!(&got, want, "{what}"),
+                }
+                if !fuse {
+                    assert_eq!(engine.stats().fused_batches, 0, "{what}");
+                    continue;
+                }
                 assert!(engine.stats().fused_batches >= 1, "fused path engaged");
-                // Shards that own a single stream group fall back to the
-                // serial path, so the fused count is a (non-empty) subset.
+                // Shards that own a single stream group drain on one
+                // lane, so the fused count is a (non-empty) subset.
                 let fused = engine.stats().fused_queries;
                 assert!(fused >= 1 && fused <= queries.len() as u64);
                 // A second batch recycles the lane free list.
@@ -1586,25 +1272,51 @@ mod tests {
                 assert!(n >= 2, "lanes retained for recycling");
                 drop(again);
             }
+            for key in baseline.expect("at least one configuration ran") {
+                key.expect("every query is feasible").hash(&mut digest);
+            }
         }
+        assert_eq!(digest.finish(), FUSED_BATCH_GOLDEN, "pinned golden digest");
     }
 
     #[test]
     fn fused_single_stream_falls_back_to_serial() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
-        let queries = batch(1, 4); // one stream: nothing to fuse
+        let queries = batch(1, 4); // one stream: one group, nothing to fuse
+        let spec = SolverSpec::new(SolverKind::PushRelabelBinary);
+        let want: Vec<_> = Engine::builder(&system, &alloc)
+            .solver_spec(spec)
+            .build()
+            .submit_batch(&queries)
+            .iter()
+            .map(outcome_key)
+            .collect();
         let mut engine = Engine::builder(&system, &alloc)
-            .solver_spec(SolverSpec::new(SolverKind::PushRelabelBinary).batch_fuse(true))
+            .solver_spec(spec.batch_fuse(true))
             .build();
-        let results = engine.submit_batch(&queries);
-        assert!(results.iter().all(|r| r.is_ok()));
+        let got: Vec<_> = engine
+            .submit_batch(&queries)
+            .iter()
+            .map(outcome_key)
+            .collect();
+        assert!(got.iter().all(|r| r.is_ok()));
+        assert_eq!(got, want);
+        // The single lane runs inline: no pool lane is checked out and
+        // every solve lands in the shard's own workspace.
         assert_eq!(engine.stats().fused_batches, 0);
         assert_eq!(engine.stats().fused_queries, 0);
+        assert!(engine.shards[0].lanes.is_empty());
+        assert_eq!(engine.stats().workspace_solves, 4);
     }
 
+    /// Both front-ends share one panic policy: the same shard-failure
+    /// count, a solve-latency sample for every query handled (panicked
+    /// ones included), and the poisoned stream's next query solved from a
+    /// fresh state — for every shard count and fuse setting.
     #[test]
     fn fused_panic_containment_matches_serial() {
+        use crate::serve::{QueryRequest, ServeConfig, ServeError};
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let poison = RangeQuery::new(3, 3, 1, 1).buckets(5)[0];
@@ -1615,26 +1327,74 @@ mod tests {
             arrival: Micros::from_millis(ms),
             buckets: buckets.clone(),
         };
-        let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), 1);
-        engine.batch_fuse = true;
-        engine.pool = Some(rds_flow::parallel::WorkerPool::new(2));
-        let results = engine.submit_batch(&[
+        // Stream 1 loads its disks, panics, then queries again while
+        // those disks would still be busy had its state survived.
+        let queries = [
             mk(0, 0, &good),
-            mk(1, 0, &bad),
+            mk(1, 0, &good),
+            mk(1, 1, &bad),
             mk(2, 0, &good),
-            mk(1, 5, &good),
-        ]);
-        assert!(results[0].is_ok());
-        assert_eq!(
-            results[1].as_ref().unwrap_err(),
-            &EngineError::ShardFailed { shard: 0 }
-        );
-        assert!(results[2].is_ok());
-        // The poisoned stream restarts cleanly on its next query (same
-        // lane, same fused drain).
-        assert!(results[3].is_ok());
-        assert_eq!(engine.stats().shard_failures, 1);
-        assert_eq!(engine.stats().fused_batches, 1);
+            mk(1, 2, &good),
+        ];
+        let fresh = Engine::new(&system, &alloc, PushRelabelBinary, 1).submit_batch(&queries[4..])
+            [0]
+        .as_ref()
+        .unwrap()
+        .outcome
+        .response_time;
+        let kept = Engine::new(&system, &alloc, PushRelabelBinary, 1)
+            .submit_batch(&[mk(1, 0, &good), mk(1, 2, &good)])[1]
+            .as_ref()
+            .unwrap()
+            .outcome
+            .response_time;
+        assert_ne!(fresh, kept, "the test distinguishes a fresh state");
+        for (fuse, shards) in [(false, 1usize), (false, 2), (true, 1), (true, 2)] {
+            let what = format!("fuse={fuse} {shards} shards");
+            let new_engine = || {
+                let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), shards);
+                if fuse {
+                    engine.batch_fuse = true;
+                    engine.pool = Some(WorkerPool::new(2));
+                }
+                engine
+            };
+            let failed = EngineError::ShardFailed { shard: 1 % shards };
+
+            let mut engine = new_engine();
+            let results = engine.submit_batch(&queries);
+            for (k, r) in results.iter().enumerate() {
+                match k {
+                    2 => assert_eq!(r.as_ref().unwrap_err(), &failed, "{what}"),
+                    _ => assert!(r.is_ok(), "{what}: query {k}"),
+                }
+            }
+            let rt = results[4].as_ref().unwrap().outcome.response_time;
+            assert_eq!(rt, fresh, "{what}: poisoned stream restarts fresh");
+            assert_eq!(engine.stats().shard_failures, 1, "{what}");
+            assert_eq!(engine.metrics().solve_latency_us.count(), 5, "{what}");
+            assert_eq!(engine.stats().fused_batches, u64::from(fuse), "{what}");
+
+            let mut engine = new_engine();
+            let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
+                for q in &queries {
+                    let req = QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival);
+                    h.submit(req).unwrap();
+                }
+            });
+            let mut responses = report.unclaimed;
+            responses.sort_by_key(|r| r.ticket);
+            assert_eq!(
+                responses[2].result.as_ref().unwrap_err(),
+                &ServeError::Engine(failed),
+                "{what}"
+            );
+            let rt = responses[4].result.as_ref().unwrap().outcome.response_time;
+            assert_eq!(rt, fresh, "{what}: poisoned stream restarts fresh");
+            assert_eq!(report.stats.panics, 1, "{what}");
+            assert_eq!(engine.stats().shard_failures, 1, "{what}");
+            assert_eq!(engine.metrics().solve_latency_us.count(), 5, "{what}");
+        }
     }
 
     #[test]

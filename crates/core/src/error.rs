@@ -130,6 +130,12 @@ pub enum SessionError {
     },
     /// The underlying solve failed.
     Solve(SolveError),
+    /// A time derived from the query's arrival (its completion, a disk's
+    /// busy horizon or a retry probe) does not fit the microsecond clock.
+    ClockOverflow {
+        /// The offending arrival time.
+        arrival: Micros,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -140,6 +146,9 @@ impl std::fmt::Display for SessionError {
                 "query arrivals must be monotone: {arrival} precedes current time {now}"
             ),
             SessionError::Solve(e) => write!(f, "solve failed: {e}"),
+            SessionError::ClockOverflow { arrival } => {
+                write!(f, "times after arrival {arrival} overflow the clock")
+            }
         }
     }
 }
@@ -268,6 +277,8 @@ mod tests {
         };
         assert!(m.to_string().contains("monotone"));
         assert!(std::error::Error::source(&m).is_none());
+        let o = SessionError::ClockOverflow { arrival: Micros(7) };
+        assert!(o.to_string().contains("overflow"));
     }
 
     #[test]

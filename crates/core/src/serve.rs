@@ -42,25 +42,20 @@
 //! enforcement and fault probes all use the wall clock, so mid-flight
 //! health transitions trigger replanning.
 
-use crate::engine::{
-    new_stream_state, run_one_core, ArrivalClock, BatchCtx, BatchQuery, Engine, FaultConfig,
-    FusedLane, ProbeClock, ShardTally,
-};
+use crate::engine::{BatchQuery, DrainCtx, DrainItem, Drained, Engine, Lane, Shard, ShardTally};
 use crate::error::EngineError;
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, RecorderStats};
 use crate::obs::slo::{SloReport, SloTrackerSet};
-use crate::obs::span::{PhaseKind, QuerySpan, RejectReason, SpanId, SpanOutcome};
+use crate::obs::span::{PhaseKind, RejectReason, SpanId, SpanOutcome};
 use crate::schedule::SolveStats;
 use crate::session::{SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
-use crate::spec::{ArenaLayout, SolveBudget};
+use crate::spec::SolveBudget;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
-use rds_flow::parallel::WorkerPool;
 use rds_storage::time::Micros;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -370,8 +365,9 @@ impl ServeConfig {
 }
 
 /// The serve clock: a wall epoch plus the high-water arrival mark that
-/// stands in for "now" under virtual time.
-struct ClockState {
+/// stands in for "now" under virtual time. It is also the drain's fault
+/// probe clock.
+pub(crate) struct ClockState {
     mode: ServeClock,
     epoch: Instant,
     virtual_now: AtomicU64,
@@ -397,25 +393,23 @@ impl ClockState {
         self.virtual_now
             .fetch_max(arrival.as_micros(), Ordering::Relaxed);
     }
-}
 
-/// Wall-clock fault probe source for the serving loop: `now` is real
-/// elapsed time and backoff waits actually sleep, capped at the query's
-/// deadline so replanning never blocks past it.
-struct RealProbeClock<'s> {
-    clock: &'s ClockState,
-    deadline: Option<Micros>,
-}
-
-impl ProbeClock for RealProbeClock<'_> {
-    fn now(&self, _arrival: Micros) -> Micros {
-        self.clock.now()
+    /// When a query that arrived at `arrival` probes the fault schedule:
+    /// at its arrival under virtual time, at the current wall time (if
+    /// later) on the real clock.
+    pub(crate) fn probe_time(&self, arrival: Micros) -> Micros {
+        match self.mode {
+            ServeClock::Real => self.now().max(arrival),
+            ServeClock::Virtual => arrival,
+        }
     }
 
-    fn wait_until(&self, t: Micros) {
-        let cap = self.deadline.map_or(t, |d| t.min(d));
-        let now = self.clock.now();
-        if cap > now {
+    /// Sleeps until `t`, capped at `deadline` so replanning never blocks
+    /// past it. Only the real clock waits; simulated backoff needs none.
+    pub(crate) fn wait_until(&self, t: Micros, deadline: Option<Micros>) {
+        let cap = deadline.map_or(t, |d| t.min(d));
+        let now = self.now();
+        if self.mode == ServeClock::Real && cap > now {
             std::thread::sleep(Duration::from_micros((cap - now).as_micros()));
         }
     }
@@ -871,10 +865,10 @@ pub struct ServeReport<R> {
     pub unclaimed: Vec<ServeResponse>,
 }
 
-/// What one worker reports back from its serving loop.
+/// What one worker reports back from its serving loop (its engine-level
+/// [`ShardTally`] travels beside it).
 #[derive(Default)]
 struct WorkerTally {
-    shard: ShardTally,
     classes: [ClassServeStats; PriorityClass::COUNT],
     completed: u64,
     errors: u64,
@@ -921,6 +915,19 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         config: ServeConfig,
         f: impl FnOnce(&ServeHandle) -> R,
     ) -> ServeReport<R> {
+        self.run_serving(config, None, f)
+    }
+
+    /// [`Engine::serve`], or with `batch` a closed run: the batch is
+    /// admitted (tickets `1..=len`, in order) and admission closed before
+    /// any worker starts. A single shard then drains on the calling
+    /// thread, as a thread of its own would buy nothing.
+    pub(crate) fn run_serving<R>(
+        &mut self,
+        config: ServeConfig,
+        batch: Option<&[BatchQuery]>,
+        f: impl FnOnce(&ServeHandle) -> R,
+    ) -> ServeReport<R> {
         let started = Instant::now();
         let num_shards = self.shards.len();
         let shared = Arc::new(Shared {
@@ -945,71 +952,81 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             shared: Arc::clone(&shared),
             responses: Mutex::new(rx),
         };
-        let ctx = BatchCtx {
+        if let Some(queries) = batch {
+            for q in queries {
+                let req = QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival);
+                handle
+                    .submit(req)
+                    .expect("batch queries are admitted without limits");
+            }
+            handle.shutdown();
+        }
+        let ctx = DrainCtx {
             system: self.system,
             alloc: self.alloc,
             solver: &self.solver,
-            faults: FaultConfig {
-                injector: self.injector.as_ref(),
-                retry: self.retry,
-                degraded: self.degraded,
-            },
+            injector: self.injector.as_ref(),
+            retry: self.retry,
+            degraded: self.degraded,
             reuse: self.reuse,
             objective: self.objective,
+            clock: &shared.clock,
+            pool: self.pool.as_ref().filter(|_| self.batch_fuse),
+            lane_layout: self.lane_layout,
         };
         let base_budget = self.budget;
-        // Fused drains need the shared pool; with `batch_fuse` off (or no
-        // pool) every drain takes the serial path.
-        let fuse = if self.batch_fuse {
-            self.pool.clone().map(|pool| FuseCtx {
-                pool,
-                layout: self.lane_layout,
-            })
-        } else {
-            None
-        };
 
         let (output, tallies) = std::thread::scope(|scope| {
             let ctx = &ctx;
             let config = &config;
             let shared_ref = &*shared;
-            let fuse = fuse.as_ref();
-            let workers: Vec<_> = self
+            let mut workers = self
                 .shards
                 .iter_mut()
                 .enumerate()
                 .map(|(shard_idx, shard)| {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        serve_worker(
-                            shard_idx,
-                            shard,
-                            ctx,
-                            shared_ref,
-                            config,
-                            base_budget,
-                            fuse,
-                            tx,
-                        )
-                    })
-                })
+                    let worker = Worker {
+                        shard_idx,
+                        shared: shared_ref,
+                        base_budget,
+                        tx: tx.clone(),
+                        tally: WorkerTally {
+                            slo: SloTrackerSet::new(shared_ref.slo),
+                            ..WorkerTally::default()
+                        },
+                        shard_tally: ShardTally::default(),
+                    };
+                    (shard, worker)
+                });
+            let first = batch
+                .filter(|_| num_shards == 1)
+                .and_then(|_| workers.next());
+            let spawned: Vec<_> = workers
+                .map(|(shard, w)| scope.spawn(move || serve_worker(shard, ctx, config, w)))
                 .collect();
             drop(tx);
             let output = f(&handle);
             handle.shutdown();
-            let tallies: Vec<WorkerTally> = workers
+            let first = first.map(|(shard, w)| serve_worker(shard, ctx, config, w));
+            // Per-query panics are contained inside the drain; a join
+            // failure means one escaped (e.g. in the worker's own
+            // bookkeeping). The other shards' results are still good.
+            let tallies: Vec<_> = first
                 .into_iter()
-                .map(|w| w.join().unwrap_or_default())
+                .map(Some)
+                .chain(spawned.into_iter().map(|w| w.join().ok()))
                 .collect();
             (output, tallies)
         });
 
         // Every sender is gone, so this drains exactly the responses the
         // closure never claimed.
-        let mut unclaimed = Vec::new();
-        while let Some(r) = handle.try_recv() {
-            unclaimed.push(r);
-        }
+        let unclaimed: Vec<ServeResponse> = handle
+            .responses
+            .lock()
+            .expect("receiver mutex")
+            .try_iter()
+            .collect();
 
         let c = &shared.counters;
         let mut stats = ServeStats {
@@ -1029,7 +1046,14 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             }
         }
         let mut slo_all = SloTrackerSet::new(self.slo);
-        for tally in &tallies {
+        for (shard, tally) in self.shards.iter_mut().zip(tallies) {
+            let Some((tally, shard_tally)) = tally else {
+                // A dead worker's shard restarts with fresh stream states
+                // and a reclaimed workspace.
+                shard.states.clear();
+                let _ = shard.inline.workspace.take_poisoned();
+                continue;
+            };
             stats.completed += tally.completed;
             stats.errors += tally.errors;
             stats.panics += tally.panics;
@@ -1039,7 +1063,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
                 into.merge(from);
             }
             slo_all.merge(&tally.slo);
-            tally.shard.accumulate(&mut self.stats, &mut self.metrics);
+            shard_tally.accumulate(&mut self.stats, &mut self.metrics);
         }
         // Reclaim the rejection log: the recorder returns to the engine
         // (for `Engine::postmortem`), the rejection SLO tracker merges
@@ -1062,7 +1086,11 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         self.stats.errors += stats.errors;
         self.stats.elapsed += stats.elapsed;
         self.stats.solve_stats.accumulate(&stats.solve_stats);
-        self.stats.workspace_solves = self.shards.iter().map(|s| s.workspace.solves()).sum();
+        self.stats.workspace_solves = self
+            .shards
+            .iter()
+            .map(|s| s.inline.workspace.solves())
+            .sum();
         let mut reuse = crate::session::ReuseCounters::default();
         for shard in &self.shards {
             for state in shard.states.values() {
@@ -1070,11 +1098,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             }
         }
         self.stats.reuse = reuse;
-        // Per-query deadline budgets may have re-armed workspaces;
-        // restore the engine-wide budget for subsequent batch runs.
-        for shard in &mut self.shards {
-            shard.workspace.arm_budget(self.budget);
-        }
 
         ServeReport {
             output,
@@ -1084,38 +1107,23 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     }
 }
 
-/// What a fused serve drain needs beyond the serial path: the shared
-/// worker pool and the lane arena layout.
-struct FuseCtx {
-    pool: WorkerPool,
-    layout: ArenaLayout,
-}
-
-/// One shard's serving loop: wait for work, drain a batch FIFO (same-
-/// stream runs hit the warm/delta path), resolve every item exactly once.
-#[allow(clippy::too_many_arguments)]
+/// One shard's serving loop: wait for work, take a coalesced batch FIFO
+/// (same-stream runs hit the warm/delta path), and drain it, resolving
+/// every item exactly once.
 fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + Sync>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
+    shard: &mut Shard,
+    ctx: &DrainCtx<'_, A, S>,
     config: &ServeConfig,
-    base_budget: SolveBudget,
-    fuse: Option<&FuseCtx>,
-    tx: mpsc::Sender<ServeResponse>,
-) -> WorkerTally {
-    let mut tally = WorkerTally {
-        slo: SloTrackerSet::new(shared.slo),
-        ..WorkerTally::default()
-    };
-    let queue = &shared.queues[shard_idx];
+    mut w: Worker<'_>,
+) -> (WorkerTally, ShardTally) {
+    let queue = &w.shared.queues[w.shard_idx];
     let mut batch: Vec<Admitted> = Vec::new();
     loop {
         {
             let mut st = queue.state.lock().expect("queue mutex");
             while st.items.is_empty() {
                 if !st.open {
-                    return tally;
+                    return (w.tally, w.shard_tally);
                 }
                 st = queue.cv.wait(st).expect("queue mutex");
             }
@@ -1123,7 +1131,7 @@ fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + 
             // to land in the same drain, so consecutive same-stream
             // queries ride the warm-start/delta path (and fused drains
             // see wider batches).
-            match (config.batch_window, shared.clock.mode) {
+            match (config.batch_window, w.shared.clock.mode) {
                 (Some(window), ServeClock::Real) => {
                     if st.items.len() < config.batch_max && st.open {
                         let (back, _) = queue.cv.wait_timeout(st, window).expect("queue mutex");
@@ -1146,53 +1154,22 @@ fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + 
             let take = st.items.len().min(config.batch_max);
             batch.extend(st.items.drain(..take));
         }
-        let batch_len = batch.len();
-        let fused = match fuse {
-            Some(fuse) => serve_fused(
-                shard_idx,
-                shard,
-                ctx,
-                shared,
-                base_budget,
-                &mut batch,
-                fuse,
-                &tx,
-                &mut tally,
-            ),
-            None => false,
-        };
-        if !fused {
-            for item in batch.drain(..) {
-                serve_one(
-                    shard_idx,
-                    shard,
-                    ctx,
-                    shared,
-                    base_budget,
-                    item,
-                    batch_len,
-                    &tx,
-                    &mut tally,
-                );
-            }
-        }
+        w.drain(shard, ctx, &mut batch);
     }
 }
 
-/// One fused-drain item after the serial prepare stage: its admission
-/// record plus the per-query budget, queue-wait reading and armed span
-/// shell, ready to execute on a lane.
-struct FusedPrep {
-    pos: usize,
-    item: Admitted,
-    budget: SolveBudget,
-    queued: Micros,
-    span: Option<QuerySpan>,
+/// One serve worker's fixed context and running tallies.
+struct Worker<'s> {
+    shard_idx: usize,
+    shared: &'s Shared,
+    base_budget: SolveBudget,
+    tx: mpsc::Sender<ServeResponse>,
+    tally: WorkerTally,
+    shard_tally: ShardTally,
 }
 
-/// What a lane task reports back per item for the serial finish stage.
-struct FusedDone {
-    pos: usize,
+/// What the finish stage needs of an admitted request once it is solved.
+struct Reply {
     ticket: Ticket,
     stream: usize,
     class: PriorityClass,
@@ -1200,580 +1177,281 @@ struct FusedDone {
     arrival: Micros,
     enqueued: Instant,
     queued: Micros,
-    result: Result<SessionOutcome, ServeError>,
-    panicked: bool,
-    solve_us: u64,
-    span: Option<QuerySpan>,
 }
 
-/// Drains one coalesced batch through the fused path: a serial prepare
-/// stage (span shells from the shard recorder, deadline-aware budgets),
-/// parallel per-stream-group execution on checked-out lanes across the
-/// shared pool, and a serial finish stage in original drain order
-/// (retire spans, SLO accounting, responses). Results are bit-identical
-/// to the serial drain; only wall-clock and plane residency change.
-///
-/// Returns `false` — leaving the batch untouched — when fewer than two
-/// stream groups exist, so the caller falls back to the serial loop.
-#[allow(clippy::too_many_arguments)]
-fn serve_fused<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + Sync>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    base_budget: SolveBudget,
-    batch: &mut Vec<Admitted>,
-    fuse: &FuseCtx,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) -> bool {
-    // Group item positions by stream: discovery order across groups,
-    // drain order within one (same-stream requests are load-coupled
-    // through the session clock, so only distinct streams run
-    // concurrently).
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    for (pos, item) in batch.iter().enumerate() {
-        let stream = item.req.stream;
-        let g = *group_of.entry(stream).or_insert_with(|| {
-            groups.push((stream, Vec::new()));
-            groups.len() - 1
-        });
-        groups[g].1.push(pos);
-    }
-    if groups.len() < 2 {
-        return false;
+/// What one pool lane of a fused drain owns while it runs.
+struct LaneWork {
+    states: HashMap<usize, SessionState>,
+    items: Vec<(usize, DrainItem<Reply>)>,
+    tally: ShardTally,
+    out: Vec<(usize, Drained<Reply>)>,
+}
+
+impl Worker<'_> {
+    /// The one drain: admitted items → per-stream groups → lanes →
+    /// ordered finish.
+    ///
+    /// Items are grouped by stream, keeping drain order within a group
+    /// (same-stream queries are load-coupled through the session clock,
+    /// so only distinct streams are independent). With the engine's pool
+    /// and two or more groups, each group runs serially on its own pool
+    /// lane and the groups run concurrently as one
+    /// [`WorkerPool::run_tasks`](rds_flow::parallel::WorkerPool::run_tasks)
+    /// batch; stream states, tallies and trace counts merge back in group
+    /// order, then every item finishes in drain order. Otherwise the
+    /// batch is a single lane run inline, each item prepared, solved and
+    /// finished in turn. Results are the same either way.
+    fn drain<A, S>(
+        &mut self,
+        shard: &mut Shard,
+        ctx: &DrainCtx<'_, A, S>,
+        batch: &mut Vec<Admitted>,
+    ) where
+        A: ReplicaSource + Sync + ?Sized,
+        S: RetrievalSolver + Sync + ?Sized,
+    {
+        let Shard {
+            inline,
+            lanes,
+            states,
+            recorder,
+        } = shard;
+        let len = batch.len();
+        let mut group_of: HashMap<usize, usize> = HashMap::new();
+        let groups: Vec<usize> = batch
+            .iter()
+            .map(|item| {
+                let next = group_of.len();
+                *group_of.entry(item.req.stream).or_insert(next)
+            })
+            .collect();
+        let (pool, n) = match ctx.pool {
+            Some(pool) if group_of.len() >= 2 => (pool, group_of.len()),
+            _ => {
+                for item in batch.drain(..) {
+                    let item = self.prepare(recorder, len, item);
+                    let done =
+                        inline.solve(self.shard_idx, ctx, states, item, &mut self.shard_tally);
+                    self.finish(recorder, done);
+                }
+                return;
+            }
+        };
+
+        self.shard_tally.fused_batches += 1;
+        self.shard_tally.fused_queries += len as u64;
+        // A pool lane gets a small private trace recorder when the shard
+        // has one, so per-kind counts stay exact (folded back below).
+        let record = inline.workspace.recorder().is_some();
+        while lanes.len() < n {
+            let mut lane = Lane::default();
+            lane.workspace.set_arena_layout(ctx.lane_layout);
+            lane.workspace.set_plane_sharing(true);
+            lanes.push(lane);
+        }
+        let mut work: Vec<LaneWork> = (0..n)
+            .map(|_| LaneWork {
+                states: HashMap::new(),
+                items: Vec::new(),
+                tally: ShardTally::default(),
+                out: Vec::new(),
+            })
+            .collect();
+        for (pos, (item, g)) in batch.drain(..).zip(groups).enumerate() {
+            let stream = item.req.stream;
+            if let Some(state) = states.remove(&stream) {
+                work[g].states.insert(stream, state);
+            }
+            work[g].items.push((pos, self.prepare(recorder, len, item)));
+        }
+        let shard_idx = self.shard_idx;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = lanes
+            .iter_mut()
+            .zip(&mut work)
+            .map(|(lane, w)| {
+                if record && lane.workspace.recorder().is_none() {
+                    lane.workspace.install_recorder(64);
+                }
+                Box::new(move || {
+                    for (pos, item) in w.items.drain(..) {
+                        let done = lane.solve(shard_idx, ctx, &mut w.states, item, &mut w.tally);
+                        w.out.push((pos, done));
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_tasks(tasks);
+
+        let mut drained: Vec<Option<Drained<Reply>>> = (0..len).map(|_| None).collect();
+        for (lane, w) in lanes.iter_mut().zip(work) {
+            states.extend(w.states);
+            self.shard_tally.merge(&w.tally);
+            // Ring contents stay per lane: cross-lane event order is
+            // undefined, only the per-kind totals are merged.
+            if let (Some(rec), Some(lane_rec)) = (
+                inline.workspace.recorder_mut(),
+                lane.workspace.recorder_mut(),
+            ) {
+                rec.absorb_counts(lane_rec);
+                lane_rec.clear();
+            }
+            for (pos, done) in w.out {
+                drained[pos] = Some(done);
+            }
+        }
+        for done in drained {
+            self.finish(recorder, done.expect("every item ran on exactly one lane"));
+        }
     }
 
-    let batch_len = batch.len();
-    tally.shard.fused_batches += 1;
-    tally.shard.fused_queries += batch_len as u64;
-    let real = shared.clock.mode == ServeClock::Real;
-
-    // Serial prepare, drain order: spans and budgets exactly as
-    // `serve_one` would set them up.
-    let mut preps: Vec<Option<FusedPrep>> = Vec::with_capacity(batch_len);
-    for (pos, item) in batch.drain(..).enumerate() {
+    /// Turns one admitted request into a drain item: its queue wait, a
+    /// span shell from the shard's flight recorder (when spans are on;
+    /// armed on the lane tracer, the solve's bridged trace events land on
+    /// its phase timeline) and the deadline-aware anytime budget.
+    fn prepare(
+        &self,
+        recorder: &mut FlightRecorder,
+        batch_len: usize,
+        item: Admitted,
+    ) -> DrainItem<Reply> {
+        let Admitted {
+            ticket,
+            req,
+            enqueued,
+        } = item;
+        let shared = self.shared;
+        let real = shared.clock.mode == ServeClock::Real;
         let queued = if real {
-            Micros::from_micros(item.enqueued.elapsed().as_micros() as u64)
+            Micros::from_micros(enqueued.elapsed().as_micros() as u64)
         } else {
             Micros::ZERO
         };
-        let span = if shared.record_spans {
-            let mut span = shard.recorder.checkout();
-            span.id = SpanId(item.ticket.0);
-            span.stream = item.req.stream;
-            span.shard = shard_idx;
-            span.class = item.req.class as usize;
-            span.arrival = item.req.arrival;
+        let span = shared.record_spans.then(|| {
+            let mut span = recorder.checkout();
+            span.id = SpanId(ticket.0);
+            span.stream = req.stream;
+            span.shard = self.shard_idx;
+            span.class = req.class as usize;
+            span.arrival = req.arrival;
             span.queued_us = queued.as_micros();
-            span.record(
-                PhaseKind::Admitted,
-                0,
-                item.req.arrival.as_micros(),
-                item.req.class as u64,
-            );
+            let class = req.class as u64;
+            span.record(PhaseKind::Admitted, 0, req.arrival.as_micros(), class);
             span.record(
                 PhaseKind::Coalesced,
                 0,
                 batch_len as u64,
                 queued.as_micros(),
             );
-            Some(span)
-        } else {
-            None
-        };
-        let mut budget = base_budget;
-        if real {
-            if let Some(d) = item.req.deadline {
-                let remaining =
-                    Duration::from_micros(d.saturating_sub(shared.clock.now()).as_micros());
-                budget.wall_clock = Some(budget.wall_clock.map_or(remaining, |b| b.min(remaining)));
-            }
-        }
-        preps.push(Some(FusedPrep {
-            pos,
-            item,
-            budget,
-            queued,
-            span,
-        }));
-    }
-
-    // Check out one lane and the owning stream state per group.
-    shard.ensure_lanes(groups.len(), fuse.layout, base_budget);
-    let mut lane_states: Vec<Option<SessionState>> = groups
-        .iter()
-        .map(|(stream, _)| shard.states.remove(stream))
-        .collect();
-    let mut lane_tallies: Vec<ShardTally> = groups.iter().map(|_| ShardTally::default()).collect();
-    let mut lane_dones: Vec<Vec<FusedDone>> = groups
-        .iter()
-        .map(|(_, g)| Vec::with_capacity(g.len()))
-        .collect();
-    let lane_preps: Vec<Vec<FusedPrep>> = groups
-        .iter()
-        .map(|(_, g)| {
-            g.iter()
-                .map(|&pos| preps[pos].take().expect("each position in one group"))
-                .collect()
-        })
-        .collect();
-
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = shard.lanes[..groups.len()]
-            .iter_mut()
-            .zip(lane_states.iter_mut())
-            .zip(lane_tallies.iter_mut())
-            .zip(lane_preps)
-            .zip(lane_dones.iter_mut())
-            .map(|((((lane, state), lane_tally), preps), dones)| {
-                Box::new(move || {
-                    serve_lane(
-                        shard_idx, ctx, shared, lane, state, lane_tally, preps, dones,
-                    )
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        fuse.pool.run_tasks(tasks);
-    }
-
-    // Deterministic merge in group order, then serial finish in the
-    // original drain order.
-    for ((stream, _), state) in groups.iter().zip(lane_states) {
-        if let Some(state) = state {
-            shard.states.insert(*stream, state);
-        }
-    }
-    for lane_tally in &lane_tallies {
-        tally.shard.merge(lane_tally);
-    }
-    shard.absorb_lane_traces(groups.len());
-
-    let mut dones: Vec<Option<FusedDone>> = (0..batch_len).map(|_| None).collect();
-    for lane in lane_dones {
-        for done in lane {
-            let pos = done.pos;
-            dones[pos] = Some(done);
-        }
-    }
-    for done in dones {
-        let done = done.expect("every item ran on exactly one lane");
-        finish_fused(shard, shared, done, tx, tally);
-    }
-    true
-}
-
-/// Executes one stream group serially on its lane: arm the span and
-/// budget, solve under panic containment, disarm the span — the fused
-/// counterpart of `serve_one`'s middle section.
-#[allow(clippy::too_many_arguments)]
-fn serve_lane<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    lane: &mut FusedLane,
-    state: &mut Option<SessionState>,
-    tally: &mut ShardTally,
-    preps: Vec<FusedPrep>,
-    dones: &mut Vec<FusedDone>,
-) {
-    let real = shared.clock.mode == ServeClock::Real;
-    for prep in preps {
-        let FusedPrep {
-            pos,
-            item,
-            budget,
-            queued,
-            span,
-        } = prep;
-        let Admitted {
-            ticket,
-            req,
-            enqueued,
-        } = item;
-        let stream = req.stream;
-        let class = req.class;
-        let deadline = req.deadline;
-        let arrival = req.arrival;
-        if let Some(span) = span {
-            lane.workspace.tracer.arm_span(span);
-        }
-        lane.workspace.arm_budget(budget);
-        let q = BatchQuery {
-            stream,
-            arrival,
-            buckets: req.buckets,
-        };
-        let st = state.get_or_insert_with(|| new_stream_state(ctx));
-        let started = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if real {
-                let clock = RealProbeClock {
-                    clock: &shared.clock,
-                    deadline,
-                };
-                run_one_core(
-                    ctx,
-                    &q,
-                    st,
-                    &mut lane.workspace,
-                    &mut lane.health,
-                    &clock,
-                    tally,
-                )
-            } else {
-                run_one_core(
-                    ctx,
-                    &q,
-                    st,
-                    &mut lane.workspace,
-                    &mut lane.health,
-                    &ArrivalClock,
-                    tally,
-                )
-            }
-        }));
-        let solve_us = started.elapsed().as_micros() as u64;
-        tally.metrics.solve_latency_us.record(solve_us);
-        let (result, panicked) = match caught {
-            Ok(r) => (r.map_err(ServeError::from), false),
-            Err(_) => {
-                // Same containment as the serial path: the poisoned
-                // stream restarts fresh, the lane workspace is reclaimed,
-                // batchmates proceed.
-                *state = None;
-                let _ = lane.workspace.take_poisoned();
-                (
-                    Err(ServeError::Engine(EngineError::ShardFailed {
-                        shard: shard_idx,
-                    })),
-                    true,
-                )
-            }
-        };
-        let span = lane.workspace.tracer.disarm_span();
-        dones.push(FusedDone {
-            pos,
-            ticket,
-            stream,
-            class,
-            deadline,
-            arrival,
-            enqueued,
-            queued,
-            result,
-            panicked,
-            solve_us,
-            span,
+            span
         });
-    }
-}
-
-/// The serial finish stage of one fused item, in original drain order:
-/// outcome stamping, span retirement, SLO and stats accounting, and the
-/// exactly-once response — `serve_one`'s tail.
-fn finish_fused(
-    shard: &mut crate::engine::Shard,
-    shared: &Shared,
-    done: FusedDone,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) {
-    let FusedDone {
-        pos: _,
-        ticket,
-        stream,
-        class,
-        deadline,
-        arrival,
-        enqueued,
-        queued,
-        result,
-        panicked,
-        solve_us,
-        span,
-    } = done;
-    let real = shared.clock.mode == ServeClock::Real;
-    if panicked {
-        tally.panics += 1;
-        tally.shard.shard_failures += 1;
-    }
-    let deadline_missed = match (&result, deadline) {
-        (Ok(out), Some(d)) => {
-            if real {
-                shared.clock.now() > d
-            } else {
-                out.completion > d
-            }
-        }
-        _ => false,
-    };
-    let turnaround = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else if let Ok(out) = &result {
-        out.completion.saturating_sub(out.arrival)
-    } else {
-        Micros::ZERO
-    };
-    let completion = match &result {
-        Ok(out) => out.completion,
-        Err(_) if real => shared.clock.now(),
-        Err(_) => arrival,
-    };
-    if shared.record_spans {
-        let mut span = span.unwrap_or_default();
-        span.turnaround_us = turnaround.as_micros();
-        span.deadline_missed = deadline_missed;
-        span.completion = completion;
-        match &result {
-            Ok(_) => {
-                span.outcome = SpanOutcome::Resolved;
-                span.record(PhaseKind::Reply, solve_us, deadline_missed as u64, 0);
-            }
-            Err(_) => {
-                span.outcome = SpanOutcome::Failed;
-                span.record(PhaseKind::Failed, solve_us, 0, 0);
-            }
-        }
-        shard.recorder.retire(span);
-    }
-    let slo_now = if real { shared.clock.now() } else { completion };
-    match &result {
-        Ok(_) => tally.slo.record_response(class, slo_now, turnaround),
-        Err(_) => tally.slo.record_unavailable(class, slo_now),
-    }
-    let cs = &mut tally.classes[class as usize];
-    cs.completed += 1;
-    cs.queue_wait_us.record(queued.as_micros());
-    cs.turnaround_us.record(turnaround.as_micros());
-    if deadline_missed {
-        cs.deadline_misses += 1;
-        tally.deadline_misses += 1;
-    }
-    tally.completed += 1;
-    match &result {
-        Ok(out) => {
-            tally.solve_stats.accumulate(&out.outcome.stats);
-            tally
-                .shard
-                .metrics
-                .probes_per_solve
-                .record(out.outcome.stats.probes);
-            tally
-                .shard
-                .metrics
-                .turnaround_us
-                .record((out.completion - out.arrival).as_micros());
-        }
-        Err(_) => tally.errors += 1,
-    }
-    // The receiver lives in the ServeHandle, which outlives the scope, so
-    // a send failure is unreachable; ignoring it keeps drain unstoppable.
-    let _ = tx.send(ServeResponse {
-        ticket,
-        stream,
-        class,
-        result,
-        queued,
-        deadline_missed,
-    });
-}
-
-/// Resolves one admitted request: arm the deadline-aware budget, solve
-/// under panic containment, respond exactly once.
-#[allow(clippy::too_many_arguments)]
-fn serve_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
-    shard_idx: usize,
-    shard: &mut crate::engine::Shard,
-    ctx: &BatchCtx<'_, A, S>,
-    shared: &Shared,
-    base_budget: SolveBudget,
-    item: Admitted,
-    batch_len: usize,
-    tx: &mpsc::Sender<ServeResponse>,
-    tally: &mut WorkerTally,
-) {
-    let Admitted {
-        ticket,
-        req,
-        enqueued,
-    } = item;
-    let class = req.class;
-    let stream = req.stream;
-    let deadline = req.deadline;
-    let real = shared.clock.mode == ServeClock::Real;
-    let queued = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else {
-        Micros::ZERO
-    };
-
-    // Begin this request's query span: a recycled shell from the shard's
-    // flight recorder, armed on the workspace tracer so the solve's
-    // bridged trace events (probes, cache hits, delta patches, budget
-    // expiry, …) land on its phase timeline.
-    if shared.record_spans {
-        let mut span = shard.recorder.checkout();
-        span.id = SpanId(ticket.0);
-        span.stream = stream;
-        span.shard = shard_idx;
-        span.class = class as usize;
-        span.arrival = req.arrival;
-        span.queued_us = queued.as_micros();
-        span.record(
-            PhaseKind::Admitted,
-            0,
-            req.arrival.as_micros(),
-            class as u64,
-        );
-        span.record(
-            PhaseKind::Coalesced,
-            0,
-            batch_len as u64,
-            queued.as_micros(),
-        );
-        shard.workspace.tracer.arm_span(span);
-    }
-
-    // Deadline-aware anytime budget: on the real clock, the solve may use
-    // at most the time remaining until the SLA deadline (on top of any
-    // engine-wide budget). Virtual time keeps the engine budget untouched
-    // so results stay deterministic.
-    let mut budget = base_budget;
-    if real {
-        if let Some(d) = deadline {
+        // On the real clock, the solve may use at most the time remaining
+        // until the SLA deadline (on top of any engine-wide budget).
+        // Virtual time keeps the engine budget untouched so results stay
+        // deterministic.
+        let mut budget = self.base_budget;
+        if let (true, Some(d)) = (real, req.deadline) {
             let remaining = Duration::from_micros(d.saturating_sub(shared.clock.now()).as_micros());
             budget.wall_clock = Some(budget.wall_clock.map_or(remaining, |b| b.min(remaining)));
         }
-    }
-    shard.workspace.arm_budget(budget);
-
-    let q = BatchQuery {
-        stream,
-        arrival: req.arrival,
-        buckets: req.buckets,
-    };
-    let started = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if real {
-            let clock = RealProbeClock {
-                clock: &shared.clock,
-                deadline,
-            };
-            shard.run_one(ctx, &q, &clock, &mut tally.shard)
-        } else {
-            shard.run_one(ctx, &q, &ArrivalClock, &mut tally.shard)
+        DrainItem {
+            tag: Reply {
+                ticket,
+                stream: req.stream,
+                class: req.class,
+                deadline: req.deadline,
+                arrival: req.arrival,
+                enqueued,
+                queued,
+            },
+            query: BatchQuery {
+                stream: req.stream,
+                arrival: req.arrival,
+                buckets: req.buckets,
+            },
+            deadline: req.deadline,
+            budget,
+            span,
         }
-    }));
-    tally
-        .shard
-        .metrics
-        .solve_latency_us
-        .record(started.elapsed().as_micros() as u64);
+    }
 
-    let result: Result<SessionOutcome, ServeError> = match caught {
-        Ok(r) => r.map_err(ServeError::from),
-        Err(_) => {
-            // Same containment as batch mode: the poisoned stream's state
-            // restarts, the response is a typed failure, the loop lives.
-            shard.states.remove(&stream);
-            let _ = shard.workspace.take_poisoned();
+    /// The finish stage of one solved request: deadline and turnaround
+    /// accounting, span retirement (the flight recorder decides
+    /// retention), SLO and stats accounting, and the exactly-once
+    /// response.
+    fn finish(&mut self, recorder: &mut FlightRecorder, done: Drained<Reply>) {
+        let Drained {
+            result,
+            solve_us,
+            span,
+            tag: r,
+        } = done;
+        let (shared, tally) = (self.shared, &mut self.tally);
+        let real = shared.clock.mode == ServeClock::Real;
+        if matches!(result, Err(EngineError::ShardFailed { .. })) {
             tally.panics += 1;
-            tally.shard.shard_failures += 1;
-            Err(ServeError::Engine(EngineError::ShardFailed {
-                shard: shard_idx,
-            }))
         }
-    };
-
-    let deadline_missed = match (&result, deadline) {
-        (Ok(out), Some(d)) => {
-            if real {
-                shared.clock.now() > d
-            } else {
-                out.completion > d
+        let deadline_missed = match (&result, r.deadline) {
+            (Ok(_), Some(d)) if real => shared.clock.now() > d,
+            (Ok(out), Some(d)) => out.completion > d,
+            _ => false,
+        };
+        let turnaround = match &result {
+            _ if real => Micros::from_micros(r.enqueued.elapsed().as_micros() as u64),
+            Ok(out) => out.completion.saturating_sub(out.arrival),
+            Err(_) => Micros::ZERO,
+        };
+        let completion = match &result {
+            Ok(out) => out.completion,
+            Err(_) if real => shared.clock.now(),
+            Err(_) => r.arrival,
+        };
+        if shared.record_spans {
+            let mut span = span.unwrap_or_default();
+            span.turnaround_us = turnaround.as_micros();
+            span.deadline_missed = deadline_missed;
+            span.completion = completion;
+            match &result {
+                Ok(_) => {
+                    span.outcome = SpanOutcome::Resolved;
+                    span.record(PhaseKind::Reply, solve_us, deadline_missed as u64, 0);
+                }
+                Err(_) => {
+                    span.outcome = SpanOutcome::Failed;
+                    span.record(PhaseKind::Failed, solve_us, 0, 0);
+                }
             }
+            recorder.retire(span);
         }
-        _ => false,
-    };
-
-    let turnaround = if real {
-        Micros::from_micros(enqueued.elapsed().as_micros() as u64)
-    } else if let Ok(out) = &result {
-        out.completion.saturating_sub(out.arrival)
-    } else {
-        Micros::ZERO
-    };
-
-    // Finish the span: take it back off the tracer, stamp the outcome and
-    // the reply phase, then hand it to the flight recorder, which decides
-    // retention (triggered spans always kept, healthy ones head-sampled).
-    let completion = match &result {
-        Ok(out) => out.completion,
-        Err(_) if real => shared.clock.now(),
-        Err(_) => req.arrival,
-    };
-    if shared.record_spans {
-        let mut span = shard.workspace.tracer.disarm_span().unwrap_or_default();
-        let finished_us = started.elapsed().as_micros() as u64;
-        span.turnaround_us = turnaround.as_micros();
-        span.deadline_missed = deadline_missed;
-        span.completion = completion;
+        let slo_now = if real { shared.clock.now() } else { completion };
         match &result {
-            Ok(_) => {
-                span.outcome = SpanOutcome::Resolved;
-                span.record(PhaseKind::Reply, finished_us, deadline_missed as u64, 0);
-            }
-            Err(_) => {
-                span.outcome = SpanOutcome::Failed;
-                span.record(PhaseKind::Failed, finished_us, 0, 0);
-            }
+            Ok(_) => tally.slo.record_response(r.class, slo_now, turnaround),
+            Err(_) => tally.slo.record_unavailable(r.class, slo_now),
         }
-        shard.recorder.retire(span);
-    }
-    let slo_now = if real { shared.clock.now() } else { completion };
-    match &result {
-        Ok(_) => tally.slo.record_response(class, slo_now, turnaround),
-        Err(_) => tally.slo.record_unavailable(class, slo_now),
-    }
-
-    let cs = &mut tally.classes[class as usize];
-    cs.completed += 1;
-    cs.queue_wait_us.record(queued.as_micros());
-    cs.turnaround_us.record(turnaround.as_micros());
-    if deadline_missed {
-        cs.deadline_misses += 1;
-        tally.deadline_misses += 1;
-    }
-    tally.completed += 1;
-    match &result {
-        Ok(out) => {
-            tally.solve_stats.accumulate(&out.outcome.stats);
-            tally
-                .shard
-                .metrics
-                .probes_per_solve
-                .record(out.outcome.stats.probes);
-            tally
-                .shard
-                .metrics
-                .turnaround_us
-                .record((out.completion - out.arrival).as_micros());
+        let cs = &mut tally.classes[r.class as usize];
+        cs.completed += 1;
+        cs.queue_wait_us.record(r.queued.as_micros());
+        cs.turnaround_us.record(turnaround.as_micros());
+        if deadline_missed {
+            cs.deadline_misses += 1;
+            tally.deadline_misses += 1;
         }
-        Err(_) => tally.errors += 1,
+        tally.completed += 1;
+        match &result {
+            Ok(out) => tally.solve_stats.accumulate(&out.outcome.stats),
+            Err(_) => tally.errors += 1,
+        }
+        // The receiver lives in the ServeHandle, which outlives the
+        // scope, so a send failure is unreachable; ignoring it keeps the
+        // drain unstoppable.
+        let _ = self.tx.send(ServeResponse {
+            ticket: r.ticket,
+            stream: r.stream,
+            class: r.class,
+            result: result.map_err(ServeError::from),
+            queued: r.queued,
+            deadline_missed,
+        });
     }
-
-    // The receiver lives in the ServeHandle, which outlives the scope, so
-    // a send failure is unreachable; ignoring it keeps drain unstoppable.
-    let _ = tx.send(ServeResponse {
-        ticket,
-        stream,
-        class,
-        result,
-        queued,
-        deadline_missed,
-    });
 }
 
 #[cfg(test)]
@@ -1818,8 +1496,73 @@ mod tests {
         assert_eq!(report.unclaimed.len(), 20, "no duplicate resolutions");
     }
 
+    /// Golden digests pinned from the implementation that still had
+    /// separate serial and fused drains, so the equivalence tests keep
+    /// asserting something now that every configuration runs one drain.
+    const VIRTUAL_SERVING_GOLDEN: u64 = 2_471_497_409_512_370_155;
+    const FUSED_SERVING_GOLDEN: u64 = 7_300_229_984_834_793_622;
+
+    /// Every shard count and fuse setting the equivalence tests sweep.
+    const CONFIGS: [(bool, usize); 6] = [
+        (false, 1),
+        (false, 2),
+        (false, 4),
+        (true, 1),
+        (true, 2),
+        (true, 4),
+    ];
+
+    /// Per ticket: response time, schedule and span `phase_digest`.
+    type TicketKey = (Ticket, Micros, Vec<(Bucket, usize)>, u64);
+
+    /// The [`TicketKey`]s of one serving run, in ticket order.
+    fn ticket_keys<A: ReplicaSource + Sync, S: RetrievalSolver + Sync>(
+        engine: &Engine<'_, A, S>,
+        responses: &[ServeResponse],
+    ) -> Vec<TicketKey> {
+        let digests: std::collections::BTreeMap<u64, u64> = engine
+            .postmortem()
+            .spans
+            .iter()
+            .map(|s| (s.id.0, s.phase_digest()))
+            .collect();
+        let mut keys: Vec<TicketKey> = responses
+            .iter()
+            .map(|r| {
+                let out = r.result.as_ref().expect("every query is feasible");
+                (
+                    r.ticket,
+                    out.outcome.response_time,
+                    out.outcome.schedule.assignments().to_vec(),
+                    digests[&r.ticket.0],
+                )
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// An engine for one point of the equivalence sweep.
+    fn sweep_engine<'a>(
+        system: &'a SystemConfig,
+        alloc: &'a OrthogonalAllocation,
+        spec: crate::spec::SolverSpec,
+        (fuse, shards): (bool, usize),
+    ) -> Engine<'a, OrthogonalAllocation, crate::spec::AnySolver> {
+        Engine::builder(system, alloc)
+            .solver_spec(if fuse {
+                spec.batch_fuse(true).parallelism(3)
+            } else {
+                spec
+            })
+            .shards(shards)
+            .build()
+    }
+
     #[test]
     fn virtual_serving_matches_submit_batch() {
+        use crate::spec::{ArenaLayout, SolverKind, SolverSpec};
+        use std::hash::{Hash, Hasher};
         let (system, alloc) = setup();
         let queries: Vec<BatchQuery> = (0..12)
             .map(|k| BatchQuery {
@@ -1828,34 +1571,41 @@ mod tests {
                 buckets: RangeQuery::new(k % 5, (k + 1) % 5, 1 + k % 2, 2).buckets(5),
             })
             .collect();
-        let mut batch_engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
-        let want: Vec<Micros> = batch_engine
-            .submit_batch(&queries)
-            .into_iter()
-            .map(|r| r.unwrap().outcome.response_time)
-            .collect();
-        for shards in [1usize, 2, 4] {
-            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
-            let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
-                queries
-                    .iter()
-                    .map(|q| {
+        let mut digest = std::collections::hash_map::DefaultHasher::new();
+        for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
+            let spec = SolverSpec::new(SolverKind::PushRelabelBinary).arena_layout(layout);
+            let want: Vec<Micros> = sweep_engine(&system, &alloc, spec, (false, 1))
+                .submit_batch(&queries)
+                .into_iter()
+                .map(|r| r.unwrap().outcome.response_time)
+                .collect();
+            want.hash(&mut digest);
+            let mut timelines: Option<Vec<TicketKey>> = None;
+            for config in CONFIGS {
+                let mut engine = sweep_engine(&system, &alloc, spec, config);
+                let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
+                    for q in &queries {
                         h.submit(
                             QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival),
                         )
-                        .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let mut by_ticket: Vec<(Ticket, Micros)> = report
-                .unclaimed
-                .iter()
-                .map(|r| (r.ticket, r.result.as_ref().unwrap().outcome.response_time))
-                .collect();
-            by_ticket.sort();
-            let got: Vec<Micros> = by_ticket.into_iter().map(|(_, t)| t).collect();
-            assert_eq!(got, want, "{shards} shards");
+                        .unwrap();
+                    }
+                });
+                let keys = ticket_keys(&engine, &report.unclaimed);
+                let got: Vec<Micros> = keys.iter().map(|k| k.1).collect();
+                assert_eq!(got, want, "{layout:?} {config:?}");
+                match &timelines {
+                    None => timelines = Some(keys),
+                    Some(w) => assert_eq!(&keys, w, "{layout:?} {config:?}"),
+                }
+            }
+            timelines.hash(&mut digest);
         }
+        assert_eq!(
+            digest.finish(),
+            VIRTUAL_SERVING_GOLDEN,
+            "pinned golden digest"
+        );
     }
 
     #[test]
@@ -2002,6 +1752,57 @@ mod tests {
         );
     }
 
+    /// A query whose completion (or retry probe) does not fit the
+    /// microsecond clock resolves to a typed error through both front
+    /// ends — never a contained panic, never a wrapped-around completion.
+    #[test]
+    fn overflowing_arrival_is_a_typed_error_on_both_front_ends() {
+        let system = rds_storage::experiments::paper_example();
+        let alloc = OrthogonalAllocation::paper_7x7();
+        let arrival = Micros::from_micros(u64::MAX - 10);
+        let buckets = RangeQuery::new(0, 0, 2, 3).buckets(7);
+        let query = BatchQuery {
+            stream: 0,
+            arrival,
+            buckets: buckets.clone(),
+        };
+        // Every replica of the query's first bucket is down, so the
+        // query is infeasible and the retry loop probes past the clock.
+        let dead: Vec<usize> = alloc.replicas(buckets[0]).iter().collect();
+        let retrying = || {
+            Engine::new(&system, &alloc, PushRelabelBinary, 1)
+                .with_fault_injector(FaultInjector::pinned(
+                    &crate::fault::HealthMap::with_offline(&dead),
+                ))
+                .with_retry_policy(RetryPolicy {
+                    max_retries: 2,
+                    backoff: Micros::from_millis(1),
+                })
+        };
+        let want = EngineError::Session(crate::error::SessionError::ClockOverflow { arrival });
+        for mut engine in [
+            Engine::new(&system, &alloc, PushRelabelBinary, 1),
+            retrying(),
+        ] {
+            let results = engine.submit_batch(std::slice::from_ref(&query));
+            assert_eq!(results[0].as_ref().unwrap_err(), &want);
+            assert_eq!(engine.stats().shard_failures, 0);
+            assert_eq!(engine.stats().errors, 1);
+
+            let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
+                h.submit(QueryRequest::new(1, buckets.clone()).arriving_at(arrival))
+                    .unwrap();
+            });
+            assert_eq!(report.stats.panics, 0);
+            assert_eq!(report.stats.errors, 1);
+            assert_eq!(engine.stats().shard_failures, 0);
+            assert_eq!(
+                report.unclaimed[0].result.as_ref().unwrap_err(),
+                &ServeError::Engine(want)
+            );
+        }
+    }
+
     #[test]
     fn real_clock_sees_midflight_recovery() {
         let (system, alloc) = setup();
@@ -2086,7 +1887,8 @@ mod tests {
 
     #[test]
     fn fused_serving_matches_serial_across_shard_counts() {
-        use crate::spec::{SolverKind, SolverSpec};
+        use crate::spec::{ArenaLayout, SolverKind, SolverSpec};
+        use std::hash::{Hash, Hasher};
         let (system, alloc) = setup();
         let queries: Vec<BatchQuery> = (0..24)
             .map(|k| BatchQuery {
@@ -2095,62 +1897,52 @@ mod tests {
                 buckets: RangeQuery::new(k % 5, (k + 1) % 5, 1 + k % 2, 2).buckets(5),
             })
             .collect();
-        let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
-            .reuse(crate::session::ReusePolicy::warm());
         let config = || {
             ServeConfig::default()
                 .virtual_time()
                 .batch_window(Duration::from_millis(5))
                 .batch_max(8)
         };
-        // The serial single-shard run pins the goldens: per-ticket
-        // schedules and span digests. Every fused shard count must
-        // reproduce both bit-for-bit.
-        type Golden = (Vec<(Ticket, Micros)>, std::collections::BTreeMap<u64, u64>);
-        let mut want: Option<Golden> = None;
-        for (fuse, shards) in [(false, 1usize), (true, 1), (true, 2), (true, 4)] {
-            let mut engine = Engine::builder(&system, &alloc)
-                .solver_spec(if fuse {
-                    spec.batch_fuse(true).parallelism(3)
-                } else {
-                    spec
-                })
-                .shards(shards)
-                .build();
-            let report = engine.serve(config(), |h| {
-                for q in &queries {
-                    h.submit(QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival))
+        // The first (serial, single-shard) run of each width sets the
+        // per-ticket schedules and span digests; every other shard count
+        // and fuse setting must reproduce them bit-for-bit.
+        let mut digest = std::collections::hash_map::DefaultHasher::new();
+        for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
+            let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+                .reuse(crate::session::ReusePolicy::warm())
+                .arena_layout(layout);
+            let mut want: Option<Vec<TicketKey>> = None;
+            for (fuse, shards) in CONFIGS {
+                let mut engine = sweep_engine(&system, &alloc, spec, (fuse, shards));
+                let report = engine.serve(config(), |h| {
+                    for q in &queries {
+                        h.submit(
+                            QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival),
+                        )
                         .unwrap();
+                    }
+                });
+                let what = format!("{layout:?} fuse={fuse} {shards} shards");
+                assert_eq!(report.stats.completed, 24, "{what}");
+                if fuse {
+                    assert!(
+                        engine.stats().fused_batches >= 1,
+                        "{what}: fused drain engaged"
+                    );
                 }
-            });
-            assert_eq!(report.stats.completed, 24, "fuse={fuse} {shards} shards");
-            let mut times: Vec<(Ticket, Micros)> = report
-                .unclaimed
-                .iter()
-                .map(|r| (r.ticket, r.result.as_ref().unwrap().outcome.response_time))
-                .collect();
-            times.sort();
-            let pm = engine.postmortem();
-            let digests: std::collections::BTreeMap<u64, u64> = pm
-                .spans
-                .iter()
-                .map(|s| (s.id.0, s.phase_digest()))
-                .collect();
-            assert_eq!(digests.len(), 24, "fuse={fuse} {shards} shards");
-            if fuse {
-                assert!(
-                    engine.stats().fused_batches >= 1,
-                    "{shards} shards: fused drain engaged"
-                );
-            }
-            match &want {
-                None => want = Some((times, digests)),
-                Some((wt, wd)) => {
-                    assert_eq!(&times, wt, "fuse={fuse} {shards} shards: schedules");
-                    assert_eq!(&digests, wd, "fuse={fuse} {shards} shards: timelines");
+                let keys = ticket_keys(&engine, &report.unclaimed);
+                match &want {
+                    None => want = Some(keys),
+                    Some(w) => assert_eq!(&keys, w, "{what}"),
                 }
             }
+            want.hash(&mut digest);
         }
+        assert_eq!(
+            digest.finish(),
+            FUSED_SERVING_GOLDEN,
+            "pinned golden digest"
+        );
     }
 
     #[test]

@@ -438,7 +438,7 @@ impl SessionState {
                 ws.tracer.emit(TraceEvent::CacheHit {
                     fingerprint: key.query_fp,
                 });
-                return Ok(self.charge(system, health, arrival, outcome, ws));
+                return self.charge(system, health, arrival, outcome, ws);
             }
             self.counters.cache_misses += 1;
         }
@@ -581,13 +581,14 @@ impl SessionState {
                 &mut self.counters.cache_evictions,
             );
         }
-        Ok(self.charge(system, health, arrival, outcome, ws))
+        self.charge(system, health, arrival, outcome, ws)
     }
 
     /// Charges a solved (or cache-replayed) outcome back to the disks and
     /// wraps it with absolute-time bookkeeping. The effective disk
     /// parameters are recomputed from the system and health so the cache
-    /// hit path needs no instance.
+    /// hit path needs no instance. A completion past the end of the
+    /// clock is [`SessionError::ClockOverflow`].
     fn charge(
         &mut self,
         system: &SystemConfig,
@@ -595,14 +596,18 @@ impl SessionState {
         arrival: Micros,
         outcome: RetrievalOutcome,
         ws: &mut Workspace,
-    ) -> SessionOutcome {
+    ) -> Result<SessionOutcome, SessionError> {
+        let overflow = SessionError::ClockOverflow { arrival };
+        let completion = arrival.checked_add(outcome.response_time).ok_or(overflow)?;
         let counts = outcome.schedule.per_disk_counts(self.busy_until.len());
         for (j, &k) in counts.iter().enumerate() {
             if k > 0 {
                 let mut disk = health.apply(j, system.disk(j));
                 disk.initial_load += self.busy_until[j].saturating_sub(arrival);
-                let completion = arrival + disk.completion_time(k);
-                self.busy_until[j] = self.busy_until[j].max(completion);
+                let done = arrival
+                    .checked_add(disk.completion_time(k))
+                    .ok_or(overflow)?;
+                self.busy_until[j] = self.busy_until[j].max(done);
             }
         }
         self.served += 1;
@@ -612,12 +617,12 @@ impl SessionState {
                 dropped: self.unservable_buf.len() as u32,
             });
         }
-        SessionOutcome {
-            completion: arrival + outcome.response_time,
+        Ok(SessionOutcome {
+            completion,
             outcome,
             arrival,
             unservable: self.unservable_buf.clone(),
-        }
+        })
     }
 }
 

@@ -275,12 +275,14 @@ pub struct SolverSpec {
     /// Which arena width workspaces solve in
     /// ([`ArenaLayout::Auto`] by default — per-instance selection).
     pub arena_layout: ArenaLayout,
-    /// Fuse batch-window drains: when the serving loop drains K coalesced
-    /// queries in one window, schedule the K solves *across* the engine's
-    /// shared worker pool (distinct streams in parallel, each solve
-    /// sequential) with epoch-shared CSR topology planes, instead of
-    /// solving them serially. Off by default. Results are bit-identical
-    /// to the unfused path; only wall-clock and plane residency change.
+    /// Fuse drains: when a drain (a serve batch window or a
+    /// `submit_batch` call) holds queries of two or more streams,
+    /// schedule the per-stream groups *across* the engine's shared
+    /// worker pool (distinct streams in parallel, each solve sequential)
+    /// on lanes with epoch-shared CSR topology planes, instead of solving
+    /// them serially on one lane. Off by default. Results are
+    /// bit-identical either way; only wall-clock and plane residency
+    /// change.
     pub batch_fuse: bool,
 }
 

@@ -58,6 +58,11 @@ impl Micros {
         self.0.checked_sub(rhs.0).map(Micros)
     }
 
+    /// Checked addition: `None` when the sum does not fit in `u64`.
+    pub fn checked_add(self, rhs: Micros) -> Option<Micros> {
+        self.0.checked_add(rhs.0).map(Micros)
+    }
+
     /// Integer division by another duration (how many times `rhs` fits).
     pub fn div_duration(self, rhs: Micros) -> u64 {
         assert!(rhs.0 > 0, "division by zero duration");
