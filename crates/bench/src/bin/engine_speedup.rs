@@ -151,7 +151,7 @@ fn main() -> ExitCode {
         queries: &[BatchQuery],
     ) -> (Duration, Vec<Micros>) {
         let started = Instant::now();
-        let mut engine = Engine::new(system, alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(system, alloc).build_with(PushRelabelBinary);
         let results = engine.submit_batch(queries);
         let elapsed = started.elapsed();
         let times = results

@@ -95,9 +95,10 @@ fn main() -> ExitCode {
             let injector =
                 FaultInjector::random_outages(0xD15C ^ seed, n, fraction, Micros::ZERO, None);
             disks_down = injector.events().len();
-            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1)
-                .with_fault_injector(injector)
-                .with_degraded_mode(true);
+            let mut engine = Engine::builder(&system, &alloc)
+                .fault_injector(injector)
+                .degraded_mode(true)
+                .build_with(PushRelabelBinary);
             for r in engine.submit_batch(&queries) {
                 match r {
                     Ok(o) if o.is_complete() => {

@@ -53,7 +53,9 @@ fn measure_capacity(
     shards: usize,
     queries: usize,
 ) -> f64 {
-    let mut engine = Engine::new(system, alloc, PushRelabelBinary, shards);
+    let mut engine = Engine::builder(system, alloc)
+        .shards(shards)
+        .build_with(PushRelabelBinary);
     let batch: Vec<BatchQuery> = (0..queries)
         .map(|k| BatchQuery {
             stream: k % STREAMS,
@@ -94,7 +96,9 @@ fn run_low(
     queries: usize,
     target_qps: f64,
 ) -> Phase {
-    let mut engine = Engine::new(system, alloc, PushRelabelBinary, shards);
+    let mut engine = Engine::builder(system, alloc)
+        .shards(shards)
+        .build_with(PushRelabelBinary);
     let interarrival = Duration::from_secs_f64(1.0 / target_qps);
     let report = engine.serve(
         ServeConfig::default().queue_capacity(64).shed_watermark(32),
@@ -132,7 +136,9 @@ fn run_overload(
     queries: usize,
     target_qps: f64,
 ) -> Phase {
-    let mut engine = Engine::new(system, alloc, PushRelabelBinary, shards);
+    let mut engine = Engine::builder(system, alloc)
+        .shards(shards)
+        .build_with(PushRelabelBinary);
     let interarrival = Duration::from_secs_f64(1.0 / target_qps);
     let report = engine.serve(
         ServeConfig::default().queue_capacity(32).shed_watermark(16),

@@ -44,7 +44,9 @@ fn run_round(
     queries: usize,
     spans: bool,
 ) -> (Duration, Vec<Micros>) {
-    let mut engine = Engine::new(system, alloc, PushRelabelBinary, shards);
+    let mut engine = Engine::builder(system, alloc)
+        .shards(shards)
+        .build_with(PushRelabelBinary);
     let config = ServeConfig::default()
         .virtual_time()
         .queue_capacity(queries.max(1))

@@ -20,7 +20,6 @@
 
 use rds_core::engine::{BatchQuery, Engine};
 use rds_core::network::RetrievalInstance;
-use rds_core::pr::PushRelabelBinary;
 use rds_core::session::{RetrievalSession, ReusePolicy};
 use rds_core::spec::{SolverKind, SolverSpec};
 use rds_core::verify::oracle_optimal_response;
@@ -69,8 +68,8 @@ fn build_queries(streams: usize, total: usize) -> Vec<BatchQuery> {
 /// oracle, on the loaded system the session presented the solver with —
 /// the same delta/cache machinery the engine runs per shard.
 fn verify_warm_stream(system: &SystemConfig, alloc: &OrthogonalAllocation, steps: usize) {
-    let mut session =
-        RetrievalSession::with_reuse(system, alloc, PushRelabelBinary, ReusePolicy::warm());
+    let spec = SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy::warm());
+    let mut session = RetrievalSession::from_spec(system, alloc, &spec);
     for step in 0..steps {
         let arrival = Micros(GAP.0 * step as u64);
         let buckets: Vec<Bucket> = window_at(step).buckets(7);
@@ -118,7 +117,10 @@ fn run_engine(
     let started = Instant::now();
     let mut spec = SolverSpec::new(SolverKind::PushRelabelBinary);
     if warm {
-        spec = spec.warm_start(true).cache_capacity(32);
+        spec = spec.reuse(ReusePolicy {
+            warm_start: true,
+            cache_capacity: 32,
+        });
     }
     let builder = Engine::builder(system, alloc).solver_spec(spec);
     let mut engine = builder.build();
@@ -191,7 +193,7 @@ fn main() -> ExitCode {
          # warm-path optimality verified per step against the oracle.\n\
          #\n\
          # rebuild: Engine, reuse off — instance rebuilt per query.\n\
-         # warm:    SolverSpec::new(..).warm_start(true).cache_capacity(32)\n\
+         # warm:    SolverSpec::new(..).reuse(warm start, 32-entry cache)\n\
          #\n\
          # best of {repeat} runs:\n\
          rebuild_ms         {cold_ms:.3}\n\

@@ -44,14 +44,13 @@ use crate::error::{EngineError, SessionError, SolveError};
 use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
-use crate::obs::slo::SloPolicy;
 use crate::obs::span::QuerySpan;
 use crate::obs::trace::{EventKind, TraceEvent};
 use crate::schedule::SolveStats;
 use crate::serve::{ClockState, ServeConfig, ServeError};
-use crate::session::{ReuseCounters, ReusePolicy, SessionOutcome, SessionState};
+use crate::session::{ReuseCounters, SessionOutcome, SessionState};
 use crate::solver::RetrievalSolver;
-use crate::spec::{AnySolver, ArenaLayout, ScheduleObjective, SolveBudget, SolverKind, SolverSpec};
+use crate::spec::{AnySolver, SolveBudget, SolverKind, SolverSpec};
 use crate::workspace::Workspace;
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
@@ -112,7 +111,8 @@ pub struct EngineStats {
     pub errors: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Wall-clock time spent inside `submit_batch`.
+    /// Wall-clock time spent in `submit_batch` calls and
+    /// [`Engine::serve`](crate::serve) runs.
     pub elapsed: Duration,
     /// Solver work counters summed over all successful queries.
     pub solve_stats: SolveStats,
@@ -141,7 +141,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Query throughput over the accumulated `submit_batch` wall time.
+    /// Query throughput over the accumulated wall time of every
+    /// `submit_batch` call and `serve` run ([`EngineStats::elapsed`]).
     pub fn queries_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
@@ -176,7 +177,7 @@ pub struct MetricsSnapshot {
     /// The underlying histograms.
     pub histograms: EngineMetrics,
     /// Trace-event totals by [`EventKind`] (all zeros unless tracing was
-    /// enabled with [`Engine::with_tracing`]).
+    /// enabled with [`EngineBuilder::tracing`]).
     pub trace_counts: [u64; EventKind::COUNT],
 }
 
@@ -369,8 +370,8 @@ pub(crate) struct DrainCtx<'c, A: ?Sized, S: ?Sized> {
     pub(crate) injector: Option<&'c FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) degraded: bool,
-    pub(crate) reuse: ReusePolicy,
-    pub(crate) objective: ScheduleObjective,
+    /// The engine's solve policy (reuse, objective, arena width, …).
+    pub(crate) spec: &'c SolverSpec,
     /// Decides when the fault schedule is probed: at the arrival (virtual
     /// time, deterministic) or on the wall clock, so mid-flight health
     /// transitions are seen by the retry loop.
@@ -378,8 +379,6 @@ pub(crate) struct DrainCtx<'c, A: ?Sized, S: ?Sized> {
     /// The pool fused drains fan out over; `None` unless
     /// [`SolverSpec::batch_fuse`] is on.
     pub(crate) pool: Option<&'c WorkerPool>,
-    /// Arena layout of new pool lanes (mirrors the inline lanes).
-    pub(crate) lane_layout: ArenaLayout,
 }
 
 /// One admitted query on its way to a lane: the query, the budget and
@@ -408,8 +407,8 @@ pub(crate) struct Drained<T> {
 /// Creates the session state for a stream's first query under `ctx`'s
 /// policies.
 fn new_stream_state<A: ?Sized, S: ?Sized>(ctx: &DrainCtx<'_, A, S>) -> SessionState {
-    let mut s = SessionState::with_reuse(ctx.system.num_disks(), ctx.reuse);
-    s.set_objective(ctx.objective);
+    let mut s = SessionState::with_reuse(ctx.system.num_disks(), ctx.spec.reuse);
+    s.set_objective(ctx.spec.objective);
     s
 }
 
@@ -577,26 +576,21 @@ pub struct Engine<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) degraded: bool,
-    pub(crate) reuse: ReusePolicy,
-    pub(crate) objective: ScheduleObjective,
-    pub(crate) budget: SolveBudget,
-    pub(crate) slo: SloPolicy,
+    /// Solve policy shared by every stream: reuse, objective, budget,
+    /// SLOs, arena width and fused drains.
+    pub(crate) spec: SolverSpec,
     /// Spans of submissions the serving loop *rejected* at admission
     /// (they never reach a shard, so they get their own recorder).
     pub(crate) rejections: FlightRecorder,
     /// The shared worker pool, when one exists (parallel solver kind
     /// and/or fused drains).
     pub(crate) pool: Option<WorkerPool>,
-    /// Whether drains with two or more stream groups fan out over `pool`
-    /// (see [`SolverSpec::batch_fuse`]).
-    pub(crate) batch_fuse: bool,
-    /// Arena layout of pool lanes (mirrors the inline lanes).
-    pub(crate) lane_layout: ArenaLayout,
 }
 
-/// Step-by-step construction of an [`Engine`] around a [`SolverSpec`] —
-/// the unified alternative to threading a concrete solver type through
-/// [`Engine::new`]:
+/// Step-by-step construction of an [`Engine`]: the only way to make
+/// one. The [`SolverSpec`] carries the solve policy; the builder adds
+/// the engine-level knobs (shards, faults, replanning, tracing, flight
+/// recorder).
 ///
 /// ```
 /// use rds_core::engine::Engine;
@@ -627,116 +621,141 @@ pub struct EngineBuilder<'a, A: ReplicaSource + Sync> {
     degraded: bool,
     injector: Option<FaultInjector>,
     tracing: Option<usize>,
-    flight_recorder: Option<FlightRecorderConfig>,
+    flight_recorder: FlightRecorderConfig,
 }
 
 impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
-    /// Selects the algorithm ([`SolverKind::PushRelabelBinary`] is the
-    /// default), keeping the other solver knobs.
-    pub fn solver(mut self, kind: SolverKind) -> Self {
-        self.spec.kind = kind;
-        self
-    }
-
-    /// Replaces the whole [`SolverSpec`] (kind and knobs).
+    /// Replaces the whole [`SolverSpec`] (kind and policy).
     pub fn solver_spec(mut self, spec: SolverSpec) -> Self {
         self.spec = spec;
         self
     }
 
-    /// Number of shard workers (minimum 1; default 1).
+    /// Number of shard workers (minimum 1; default 1). Shard count only
+    /// affects wall-clock time, never results.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
-    /// Replanning policy for infeasible queries.
+    /// Replanning policy for infeasible queries (see [`RetryPolicy`]).
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Enables the best-effort degraded fallback.
+    /// Enables degraded mode: queries that stay infeasible after
+    /// replanning are answered best-effort, serving every bucket with a
+    /// live replica and listing the rest in
+    /// [`SessionOutcome::unservable`], instead of failing outright.
     pub fn degraded_mode(mut self, degraded: bool) -> Self {
         self.degraded = degraded;
         self
     }
 
-    /// Installs a fault schedule.
+    /// Installs a fault schedule: every query plans around the health in
+    /// force when it is probed. Under the virtual clock health is a pure
+    /// function of the schedule and the query's arrival, so results stay
+    /// deterministic for any shard count.
     pub fn fault_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = Some(injector);
         self
     }
 
-    /// Installs a per-shard trace recorder of `capacity` events.
+    /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
+    /// `capacity` events in every shard, so solver-phase [`TraceEvent`]s
+    /// are captured. Per-kind counts stay exact even after the ring
+    /// wraps; merged counts are surfaced by [`Engine::trace_counts`] and
+    /// [`Engine::metrics_snapshot`].
     pub fn tracing(mut self, capacity: usize) -> Self {
         self.tracing = Some(capacity);
         self
     }
 
     /// Overrides the always-on flight-recorder retention knobs (ring
-    /// capacity, healthy head-sample size, phases per span). The default
-    /// [`FlightRecorderConfig`] applies when this is not called.
+    /// capacity, healthy head-sample size, phases per span) of every
+    /// shard and of the admission-rejection log.
     pub fn flight_recorder(mut self, config: FlightRecorderConfig) -> Self {
-        self.flight_recorder = Some(config);
+        self.flight_recorder = config;
         self
     }
 
-    /// Materializes the engine.
+    /// Materializes the engine with the solver [`SolverSpec::build`]
+    /// describes.
     ///
     /// For the parallel solver kind this creates **one** shared
     /// [`WorkerPool`] sized from [`SolverSpec::parallelism`] and installs
     /// it in every shard workspace, so all shards (and every solve) reuse
     /// the same worker threads instead of spawning per solve.
-    /// [`SolverSpec::batch_fuse`] also creates the pool (without
-    /// installing it in the workspaces — pool lanes must never dispatch
-    /// on the pool they run inside), so drains can fan their stream
-    /// groups out across it.
     pub fn build(self) -> Engine<'a, A, AnySolver> {
-        let parallel_kind = matches!(self.spec.kind, SolverKind::ParallelPushRelabelBinary);
-        let pool = (parallel_kind || self.spec.batch_fuse).then(|| {
-            let threads = if self.spec.parallelism == 0 {
-                2
-            } else {
-                self.spec.parallelism
-            };
-            WorkerPool::new(threads)
-        });
-        let mut engine = Engine::new(self.system, self.alloc, self.spec.build(), self.shards)
-            .with_reuse(self.spec.reuse_policy())
-            .with_objective(self.spec.objective)
-            .with_budget(self.spec.budget)
-            .with_retry_policy(self.retry)
-            .with_degraded_mode(self.degraded)
-            .with_slo(self.spec.slo);
-        if let Some(injector) = self.injector {
-            engine = engine.with_fault_injector(injector);
-        }
-        if let Some(capacity) = self.tracing {
-            engine = engine.with_tracing(capacity);
-        }
-        if let Some(config) = self.flight_recorder {
-            engine = engine.with_flight_recorder(config);
-        }
-        for shard in &mut engine.shards {
-            shard
-                .inline
-                .workspace
-                .set_arena_layout(self.spec.arena_layout);
-            if let (Some(pool), true) = (&pool, parallel_kind) {
+        let solver = self.spec.build();
+        let mut engine = self.build_with(solver);
+        if engine.spec.kind == SolverKind::ParallelPushRelabelBinary {
+            let threads = pool_threads(&engine.spec);
+            let pool = engine.pool.get_or_insert_with(|| WorkerPool::new(threads));
+            for shard in &mut engine.shards {
                 shard.inline.workspace.set_worker_pool(pool.clone());
             }
         }
-        engine.pool = pool;
-        engine.batch_fuse = self.spec.batch_fuse;
-        engine.lane_layout = self.spec.arena_layout;
         engine
+    }
+
+    /// Materializes the engine around a caller-supplied solver. Every
+    /// [`SolverSpec`] field applies except `kind`, which `solver`
+    /// replaces.
+    ///
+    /// [`SolverSpec::batch_fuse`] creates the shared [`WorkerPool`]
+    /// (without installing it in the workspaces — pool lanes must never
+    /// dispatch on the pool they run inside), so drains can fan their
+    /// stream groups out across it.
+    pub fn build_with<S: RetrievalSolver + Sync>(self, solver: S) -> Engine<'a, A, S> {
+        let spec = self.spec;
+        let shards = (0..self.shards.max(1))
+            .map(|_| {
+                let mut shard = Shard {
+                    recorder: FlightRecorder::new(self.flight_recorder),
+                    ..Shard::default()
+                };
+                let ws = &mut shard.inline.workspace;
+                ws.set_arena_layout(spec.arena_layout);
+                if let Some(capacity) = self.tracing {
+                    ws.install_recorder(capacity);
+                }
+                shard
+            })
+            .collect();
+        Engine {
+            system: self.system,
+            alloc: self.alloc,
+            solver,
+            shards,
+            stats: EngineStats::default(),
+            metrics: EngineMetrics::default(),
+            injector: self.injector,
+            retry: self.retry,
+            degraded: self.degraded,
+            spec,
+            rejections: FlightRecorder::new(self.flight_recorder),
+            pool: spec
+                .batch_fuse
+                .then(|| WorkerPool::new(pool_threads(&spec))),
+        }
+    }
+}
+
+/// Threads of the engine's shared pool: [`SolverSpec::parallelism`], or
+/// the parallel solver's default of 2 when it is unset.
+fn pool_threads(spec: &SolverSpec) -> usize {
+    if spec.parallelism == 0 {
+        2
+    } else {
+        spec.parallelism
     }
 }
 
 impl<'a, A: ReplicaSource + Sync> Engine<'a, A, AnySolver> {
-    /// Starts building an engine whose solver is chosen by
-    /// [`SolverKind`] instead of a concrete type parameter.
+    /// Starts building an engine from the default spec
+    /// ([`SolverKind::PushRelabelBinary`], no reuse) and one shard.
     pub fn builder(system: &'a SystemConfig, alloc: &'a A) -> EngineBuilder<'a, A> {
         EngineBuilder {
             system,
@@ -747,133 +766,12 @@ impl<'a, A: ReplicaSource + Sync> Engine<'a, A, AnySolver> {
             degraded: false,
             injector: None,
             tracing: None,
-            flight_recorder: None,
+            flight_recorder: FlightRecorderConfig::default(),
         }
     }
 }
 
 impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
-    /// Creates an engine with `num_shards` workers (minimum 1). Shard
-    /// count only affects wall-clock time, never results.
-    pub fn new(system: &'a SystemConfig, alloc: &'a A, solver: S, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        Engine {
-            system,
-            alloc,
-            solver,
-            shards: (0..num_shards).map(|_| Shard::default()).collect(),
-            stats: EngineStats::default(),
-            metrics: EngineMetrics::default(),
-            injector: None,
-            retry: RetryPolicy::default(),
-            degraded: false,
-            reuse: ReusePolicy::default(),
-            objective: ScheduleObjective::default(),
-            budget: SolveBudget::UNLIMITED,
-            slo: SloPolicy::default(),
-            rejections: FlightRecorder::default(),
-            pool: None,
-            batch_fuse: false,
-            lane_layout: ArenaLayout::default(),
-        }
-    }
-
-    /// Sets the anytime [`SolveBudget`] armed for every query: a solve
-    /// whose budget expires is finalized at the best feasible bound found
-    /// so far instead of running to the exact optimum, with the gap
-    /// reported in [`SolveStats::anytime_gap`](SolveStats). The serving
-    /// loop further tightens the armed budget per query from its SLA
-    /// deadline.
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the cross-query reuse policy applied to every stream: warm
-    /// flow reuse between overlapping queries and/or a small per-stream
-    /// schedule cache. Existing streams adopt the policy immediately.
-    pub fn with_reuse(mut self, reuse: ReusePolicy) -> Self {
-        self.reuse = reuse;
-        for shard in &mut self.shards {
-            for state in shard.states.values_mut() {
-                state.set_reuse_policy(reuse);
-            }
-        }
-        self
-    }
-
-    /// Sets the schedule objective applied to every stream: schedules
-    /// keep the optimal response time but are refined toward the chosen
-    /// load shape (see [`ScheduleObjective`]). Existing streams adopt the
-    /// objective immediately; their cached schedules are invalidated.
-    pub fn with_objective(mut self, objective: ScheduleObjective) -> Self {
-        self.objective = objective;
-        for shard in &mut self.shards {
-            for state in shard.states.values_mut() {
-                state.set_objective(objective);
-            }
-        }
-        self
-    }
-
-    /// Installs a fault schedule: every query plans around the health in
-    /// force at its arrival. Health is a pure function of the schedule
-    /// and the query's arrival time, so results stay deterministic for
-    /// any shard count.
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Sets the replanning policy for infeasible queries (see
-    /// [`RetryPolicy`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Enables degraded mode: queries that stay infeasible after
-    /// replanning are answered best-effort, serving every bucket with a
-    /// live replica and listing the rest in
-    /// [`SessionOutcome::unservable`], instead of failing outright.
-    pub fn with_degraded_mode(mut self, degraded: bool) -> Self {
-        self.degraded = degraded;
-        self
-    }
-
-    /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
-    /// `capacity` events in every shard's workspace, so solver-phase
-    /// [`TraceEvent`]s are captured during batch runs. Per-kind counts
-    /// stay exact even after the ring wraps; merged counts are surfaced
-    /// by [`Engine::trace_counts`] and [`Engine::metrics_snapshot`].
-    /// No-op without the `trace` feature.
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
-        for shard in &mut self.shards {
-            shard.inline.workspace.install_recorder(capacity);
-        }
-        self
-    }
-
-    /// Sets the per-priority-class service-level objectives the serving
-    /// loop tracks (latency targets and error budgets; see
-    /// [`SloPolicy`]). Pass [`SloPolicy::disabled`] to silence all
-    /// `rds_slo_*` metrics. Batch runs ignore the policy.
-    pub fn with_slo(mut self, slo: SloPolicy) -> Self {
-        self.slo = slo;
-        self
-    }
-
-    /// Replaces every shard's flight recorder (and the admission-rejection
-    /// recorder) with an empty one using `config`. Retained spans are
-    /// discarded; call before serving.
-    pub fn with_flight_recorder(mut self, config: FlightRecorderConfig) -> Self {
-        for shard in &mut self.shards {
-            shard.recorder = FlightRecorder::new(config);
-        }
-        self.rejections = FlightRecorder::new(config);
-        self
-    }
-
     /// Snapshots the flight recorders for after-the-fact debugging: every
     /// retained [`crate::obs::span::QuerySpan`] across all shards (shard
     /// order, oldest first within a shard), the spans of rejected
@@ -928,7 +826,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     }
 
     /// The ring-buffer trace recorder of one shard, if tracing was
-    /// enabled via [`Engine::with_tracing`].
+    /// enabled via [`EngineBuilder::tracing`].
     pub fn shard_recorder(&self, shard: usize) -> Option<&crate::obs::trace::Recorder> {
         self.shards.get(shard)?.inline.workspace.recorder()
     }
@@ -1031,6 +929,8 @@ mod tests {
     use crate::network::RetrievalInstance;
     use crate::pr::PushRelabelBinary;
     use crate::schedule::RetrievalOutcome;
+    use crate::session::ReusePolicy;
+    use crate::spec::ArenaLayout;
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
     use rds_decluster::query::{Query, RangeQuery};
@@ -1057,7 +957,7 @@ mod tests {
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let queries = batch(6, 4);
         let baseline: Vec<_> = {
-            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+            let mut engine = Engine::builder(&system, &alloc).build();
             engine
                 .submit_batch(&queries)
                 .into_iter()
@@ -1065,7 +965,7 @@ mod tests {
                 .collect()
         };
         for shards in [2usize, 3, 8] {
-            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
+            let mut engine = Engine::builder(&system, &alloc).shards(shards).build();
             let got: Vec<_> = engine
                 .submit_batch(&queries)
                 .into_iter()
@@ -1079,7 +979,7 @@ mod tests {
     fn streams_keep_independent_load_state_across_batches() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+        let mut engine = Engine::builder(&system, &alloc).shards(2).build();
         let full = RangeQuery::new(0, 0, 1, 5).buckets(5);
         let q = |stream| BatchQuery {
             stream,
@@ -1101,7 +1001,7 @@ mod tests {
     fn per_query_errors_do_not_abort_the_batch() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+        let mut engine = Engine::builder(&system, &alloc).shards(2).build();
         let b = RangeQuery::new(0, 0, 1, 1).buckets(5);
         let mk = |stream, ms| BatchQuery {
             stream,
@@ -1129,7 +1029,7 @@ mod tests {
     fn stats_accumulate_solver_work() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let queries = batch(3, 3);
         let results = engine.submit_batch(&queries);
         let want: u64 = results
@@ -1166,7 +1066,9 @@ mod tests {
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let poison = RangeQuery::new(3, 3, 1, 1).buckets(5)[0];
         for shards in [1usize, 2, 4] {
-            let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), shards);
+            let mut engine = Engine::builder(&system, &alloc)
+                .shards(shards)
+                .build_with(PanicOnBucket(poison));
             let good = RangeQuery::new(0, 0, 1, 2).buckets(5);
             let bad = RangeQuery::new(3, 3, 1, 1).buckets(5);
             let mk = |stream, ms, buckets: &Vec<_>| BatchQuery {
@@ -1249,6 +1151,13 @@ mod tests {
                     .map(outcome_key)
                     .collect();
                 let what = format!("{layout:?} fuse={fuse} {shards} shards");
+                // Every query solves in some lane's workspace, inline or
+                // pool lane alike.
+                assert_eq!(
+                    engine.stats().workspace_solves,
+                    queries.len() as u64,
+                    "{what}"
+                );
                 match &baseline {
                     None => baseline = Some(got),
                     Some(want) => assert_eq!(&got, want, "{what}"),
@@ -1336,13 +1245,15 @@ mod tests {
             mk(2, 0, &good),
             mk(1, 2, &good),
         ];
-        let fresh = Engine::new(&system, &alloc, PushRelabelBinary, 1).submit_batch(&queries[4..])
-            [0]
-        .as_ref()
-        .unwrap()
-        .outcome
-        .response_time;
-        let kept = Engine::new(&system, &alloc, PushRelabelBinary, 1)
+        let fresh = Engine::builder(&system, &alloc)
+            .build()
+            .submit_batch(&queries[4..])[0]
+            .as_ref()
+            .unwrap()
+            .outcome
+            .response_time;
+        let kept = Engine::builder(&system, &alloc)
+            .build()
             .submit_batch(&[mk(1, 0, &good), mk(1, 2, &good)])[1]
             .as_ref()
             .unwrap()
@@ -1351,13 +1262,14 @@ mod tests {
         assert_ne!(fresh, kept, "the test distinguishes a fresh state");
         for (fuse, shards) in [(false, 1usize), (false, 2), (true, 1), (true, 2)] {
             let what = format!("fuse={fuse} {shards} shards");
+            let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+                .batch_fuse(fuse)
+                .parallelism(2);
             let new_engine = || {
-                let mut engine = Engine::new(&system, &alloc, PanicOnBucket(poison), shards);
-                if fuse {
-                    engine.batch_fuse = true;
-                    engine.pool = Some(WorkerPool::new(2));
-                }
-                engine
+                Engine::builder(&system, &alloc)
+                    .solver_spec(spec)
+                    .shards(shards)
+                    .build_with(PanicOnBucket(poison))
             };
             let failed = EngineError::ShardFailed { shard: 1 % shards };
 
@@ -1433,8 +1345,10 @@ mod tests {
 
         // One replica down: the query reroutes to the survivor.
         let injector = FaultInjector::pinned(&HealthMap::with_offline(&replicas[..1]));
-        let mut engine =
-            Engine::new(&system, &alloc, PushRelabelBinary, 2).with_fault_injector(injector);
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(2)
+            .fault_injector(injector)
+            .build();
         let q = BatchQuery {
             stream: 0,
             arrival: Micros::ZERO,
@@ -1447,8 +1361,10 @@ mod tests {
 
         // All replicas down: typed infeasibility naming the bucket.
         let injector = FaultInjector::pinned(&HealthMap::with_offline(&replicas));
-        let mut engine =
-            Engine::new(&system, &alloc, PushRelabelBinary, 2).with_fault_injector(injector);
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(2)
+            .fault_injector(injector)
+            .build();
         let results = engine.submit_batch(std::slice::from_ref(&q));
         assert_eq!(
             results[0].as_ref().unwrap_err(),
@@ -1475,12 +1391,13 @@ mod tests {
             injector.schedule(Micros::ZERO, d, DiskHealth::Offline);
             injector.schedule(Micros::from_millis(3), d, DiskHealth::Healthy);
         }
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1)
-            .with_fault_injector(injector)
-            .with_retry_policy(RetryPolicy {
+        let mut engine = Engine::builder(&system, &alloc)
+            .fault_injector(injector)
+            .retry_policy(RetryPolicy {
                 max_retries: 3,
                 backoff: Micros::from_millis(1),
-            });
+            })
+            .build();
         let q = BatchQuery {
             stream: 0,
             arrival: Micros::from_millis(1),
@@ -1502,9 +1419,11 @@ mod tests {
         let dead: Vec<usize> = alloc.replicas(victim).iter().collect();
         let injector = FaultInjector::pinned(&HealthMap::with_offline(&dead));
 
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2)
-            .with_fault_injector(injector)
-            .with_degraded_mode(true);
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(2)
+            .fault_injector(injector)
+            .degraded_mode(true)
+            .build();
         let q = BatchQuery {
             stream: 0,
             arrival: Micros::ZERO,

@@ -10,9 +10,7 @@
 //!   the engine emit [`trace::TraceEvent`]s through the [`trace::Tracer`]
 //!   embedded in every [`crate::workspace::Workspace`]; a
 //!   [`trace::TraceSink`] (such as the ring-buffer [`trace::Recorder`])
-//!   receives them. With no sink installed an emit is one branch; with the
-//!   `trace` Cargo feature disabled the sink machinery compiles to
-//!   nothing.
+//!   receives them. With no sink installed an emit is one branch.
 //! * [`span`] — per-query causal timelines. The serving loop mints a
 //!   [`span::QuerySpan`] at admission; the always-compiled span channel
 //!   inside the tracer bridges coarse solver events (probes, cache hits,
@@ -42,14 +40,11 @@
 //!
 //! ## Overhead contract
 //!
-//! * `trace` feature **off**: [`trace::Tracer::emit`] still forwards to
-//!   the always-compiled span channel — one `Option` branch per event
-//!   while no span is armed (the serving loop arms spans only around its
-//!   own queries; batch and session solves never pay more than the
-//!   branch). The sink machinery is dead code the optimizer removes: no
-//!   allocation, no atomic.
-//! * `trace` feature **on**, no sink installed (the default): the span
-//!   branch plus one `Option` branch per event.
+//! * No sink installed (the default): [`trace::Tracer::emit`] forwards
+//!   to the always-on span channel — one `Option` branch per event while
+//!   no span is armed (the serving loop arms spans only around its own
+//!   queries; batch and session solves never pay more than the branch) —
+//!   plus one `Option` branch for the sink. No allocation, no atomic.
 //! * Sink installed: one indirect call per event; the ring-buffer
 //!   [`trace::Recorder`] never allocates after construction (old events
 //!   are overwritten, per-kind counts stay exact).

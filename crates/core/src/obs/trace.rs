@@ -10,12 +10,10 @@
 //! and engine PRs (retries, health changes, shard batches).
 //!
 //! Events are small `Copy` values. Emission goes through exactly one
-//! indirection — [`Tracer::emit`] — which forwards to the always-compiled
-//! span channel (one `Option` branch while no
-//! [`QuerySpan`] is armed) and then to the
-//! feature-gated sink: compiled out entirely when the `trace` Cargo
-//! feature is off, a single `Option` branch when it is on but no sink is
-//! installed. See the overhead contract in [`crate::obs`].
+//! indirection — [`Tracer::emit`] — which forwards to the always-on span
+//! channel (one `Option` branch while no [`QuerySpan`] is armed) and then
+//! to the sink: a single branch while none is installed. See the
+//! overhead contract in [`crate::obs`].
 
 use crate::obs::span::{PhaseKind, QuerySpan, SpanCollector};
 use rds_storage::time::Micros;
@@ -374,23 +372,20 @@ impl TraceSink for Recorder {
 
 /// The per-workspace emission point.
 ///
-/// Every tracer carries the always-compiled [`SpanCollector`] — the
-/// channel the serving loop uses to capture per-query timelines; while
-/// no span is armed it costs one `Option` branch per emit (the path the
+/// Every tracer carries the always-on [`SpanCollector`] — the channel
+/// the serving loop uses to capture per-query timelines; while no span
+/// is armed it costs one `Option` branch per emit (the path the
 /// `engine_speedup` and `span_overhead` benches guard). The sink half is
-/// feature-gated: with `trace` on, a tracer additionally holds either
-/// nothing (one more branch per emit), a [`Recorder`] (typed access
-/// preserved for [`crate::engine::Engine`] scraping), or an arbitrary
-/// boxed [`TraceSink`].
+/// a runtime choice: nothing (one more branch per emit), a [`Recorder`]
+/// (typed access preserved for [`crate::engine::Engine`] scraping), or
+/// an arbitrary boxed [`TraceSink`].
 #[derive(Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     sink: Sink,
-    /// The always-compiled span channel (see [`crate::obs::span`]).
+    /// The always-on span channel (see [`crate::obs::span`]).
     spans: SpanCollector,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 enum Sink {
     #[default]
@@ -399,10 +394,8 @@ enum Sink {
     Custom(DynSink),
 }
 
-#[cfg(feature = "trace")]
 struct DynSink(Box<dyn TraceSink>);
 
-#[cfg(feature = "trace")]
 impl std::fmt::Debug for DynSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TraceSink")
@@ -410,26 +403,21 @@ impl std::fmt::Debug for DynSink {
 }
 
 impl Tracer {
-    /// A tracer with no sink (emits are branches or, feature-off,
-    /// nothing).
+    /// A tracer with no sink (emits are branches).
     pub fn disabled() -> Tracer {
         Tracer::default()
     }
 
     /// Emits one event. The hot-path call: inline, one span-channel
-    /// branch while no span is armed, plus (with the `trace` feature)
-    /// one branch without a sink.
+    /// branch while no span is armed, plus one branch without a sink.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         self.spans.observe(&event);
-        #[cfg(feature = "trace")]
         match &mut self.sink {
             Sink::None => {}
             Sink::Ring(r) => r.record(event),
             Sink::Custom(s) => s.0.record(event),
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = event;
     }
 
     /// Arms `span` as the active query span: subsequent coarse emits
@@ -464,78 +452,42 @@ impl Tracer {
         self.spans.note_solver(name, delta);
     }
 
-    /// True when events are being consumed (always false with the `trace`
-    /// feature off). Use to skip *computing* expensive event payloads;
-    /// plain emits don't need the check.
+    /// True when a sink consumes events. Use to skip *computing*
+    /// expensive event payloads; plain emits don't need the check.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            !matches!(self.sink, Sink::None)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        !matches!(self.sink, Sink::None)
     }
 
     /// Installs a ring-buffer [`Recorder`] of `capacity` events,
-    /// replacing any existing sink. No-op without the `trace` feature.
+    /// replacing any existing sink.
     pub fn install_recorder(&mut self, capacity: usize) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::Ring(Recorder::new(capacity));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = capacity;
+        self.sink = Sink::Ring(Recorder::new(capacity));
     }
 
-    /// Installs an arbitrary sink, replacing any existing one. No-op (the
-    /// sink is dropped) without the `trace` feature.
+    /// Installs an arbitrary sink, replacing any existing one.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::Custom(DynSink(sink));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = sink;
+        self.sink = Sink::Custom(DynSink(sink));
     }
 
-    /// Removes the sink (further emits become branches/no-ops).
+    /// Removes the sink (further emits become branches).
     pub fn disable(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            self.sink = Sink::None;
-        }
+        self.sink = Sink::None;
     }
 
     /// The installed ring recorder, if that is the current sink kind.
     pub fn recorder(&self) -> Option<&Recorder> {
-        #[cfg(feature = "trace")]
-        {
-            match &self.sink {
-                Sink::Ring(r) => Some(r),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
+        match &self.sink {
+            Sink::Ring(r) => Some(r),
+            _ => None,
         }
     }
 
     /// Mutable access to the installed ring recorder.
     pub fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        #[cfg(feature = "trace")]
-        {
-            match &mut self.sink {
-                Sink::Ring(r) => Some(r),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
+        match &mut self.sink {
+            Sink::Ring(r) => Some(r),
+            _ => None,
         }
     }
 }
@@ -653,7 +605,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn tracer_routes_to_installed_sinks() {
         let mut t = Tracer::disabled();

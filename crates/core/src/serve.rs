@@ -891,7 +891,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     ///
     /// ```
     /// use rds_core::engine::Engine;
-    /// use rds_core::pr::PushRelabelBinary;
     /// use rds_core::serve::{QueryRequest, ServeConfig};
     /// use rds_decluster::orthogonal::OrthogonalAllocation;
     /// use rds_decluster::query::{Query, RangeQuery};
@@ -899,7 +898,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
     ///
     /// let system = paper_example();
     /// let alloc = OrthogonalAllocation::paper_7x7();
-    /// let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+    /// let mut engine = Engine::builder(&system, &alloc).shards(2).build();
     /// let report = engine.serve(ServeConfig::default(), |handle| {
     ///     let buckets = RangeQuery::new(0, 0, 2, 3).buckets(7);
     ///     handle.submit(QueryRequest::new(0, buckets)).unwrap()
@@ -938,13 +937,13 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             record_spans: config.record_spans,
             counters: AdmissionCounters::default(),
             tickets: AtomicU64::new(0),
-            slo: self.slo,
+            slo: self.spec.slo,
             // The engine's rejection recorder moves into the run (so its
             // configuration and already-retained spans carry over) and is
             // restored in the epilogue below.
             rejlog: Mutex::new((
                 std::mem::take(&mut self.rejections),
-                SloTrackerSet::new(self.slo),
+                SloTrackerSet::new(self.spec.slo),
             )),
         });
         let (tx, rx) = mpsc::channel();
@@ -968,13 +967,11 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             injector: self.injector.as_ref(),
             retry: self.retry,
             degraded: self.degraded,
-            reuse: self.reuse,
-            objective: self.objective,
+            spec: &self.spec,
             clock: &shared.clock,
-            pool: self.pool.as_ref().filter(|_| self.batch_fuse),
-            lane_layout: self.lane_layout,
+            pool: self.pool.as_ref().filter(|_| self.spec.batch_fuse),
         };
-        let base_budget = self.budget;
+        let base_budget = self.spec.budget;
 
         let (output, tallies) = std::thread::scope(|scope| {
             let ctx = &ctx;
@@ -1045,7 +1042,7 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
                 stats.rejected_by[r][ci] = cell.load(Ordering::Relaxed);
             }
         }
-        let mut slo_all = SloTrackerSet::new(self.slo);
+        let mut slo_all = SloTrackerSet::new(self.spec.slo);
         for (shard, tally) in self.shards.iter_mut().zip(tallies) {
             let Some((tally, shard_tally)) = tally else {
                 // A dead worker's shard restarts with fresh stream states
@@ -1089,7 +1086,8 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         self.stats.workspace_solves = self
             .shards
             .iter()
-            .map(|s| s.inline.workspace.solves())
+            .flat_map(|s| std::iter::once(&s.inline).chain(&s.lanes))
+            .map(|l| l.workspace.solves())
             .sum();
         let mut reuse = crate::session::ReuseCounters::default();
         for shard in &self.shards {
@@ -1245,7 +1243,7 @@ impl Worker<'_> {
         let record = inline.workspace.recorder().is_some();
         while lanes.len() < n {
             let mut lane = Lane::default();
-            lane.workspace.set_arena_layout(ctx.lane_layout);
+            lane.workspace.set_arena_layout(ctx.spec.arena_layout);
             lane.workspace.set_plane_sharing(true);
             lanes.push(lane);
         }
@@ -1459,7 +1457,8 @@ mod tests {
     use super::*;
     use crate::engine::RetryPolicy;
     use crate::fault::{DiskHealth, FaultInjector};
-    use crate::pr::PushRelabelBinary;
+    use crate::session::ReusePolicy;
+    use crate::spec::{ArenaLayout, SolverKind, SolverSpec};
     use rds_decluster::allocation::Placement;
     use rds_decluster::orthogonal::OrthogonalAllocation;
     use rds_decluster::query::{Query, RangeQuery};
@@ -1477,7 +1476,7 @@ mod tests {
     #[test]
     fn every_admitted_ticket_resolves_exactly_once() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+        let mut engine = Engine::builder(&system, &alloc).shards(2).build();
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             let mut tickets = HashSet::new();
             for k in 0..20u64 {
@@ -1561,7 +1560,6 @@ mod tests {
 
     #[test]
     fn virtual_serving_matches_submit_batch() {
-        use crate::spec::{ArenaLayout, SolverKind, SolverSpec};
         use std::hash::{Hash, Hasher};
         let (system, alloc) = setup();
         let queries: Vec<BatchQuery> = (0..12)
@@ -1611,7 +1609,7 @@ mod tests {
     #[test]
     fn queue_full_and_shutdown_rejections_are_typed() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let buckets = RangeQuery::new(0, 0, 1, 1).buckets(5);
         // Submit from a producer thread while the single worker is held
         // idle only by queue pressure — capacity 1 forces QueueFull once
@@ -1633,7 +1631,7 @@ mod tests {
     #[test]
     fn past_deadline_rejected_at_admission() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let buckets = RangeQuery::new(0, 0, 1, 1).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             let err = h
@@ -1657,7 +1655,7 @@ mod tests {
     #[test]
     fn batch_class_is_shed_above_the_watermark() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let buckets = RangeQuery::new(0, 0, 1, 1).buckets(5);
         // Watermark 0: every Batch request sheds, other classes sail.
         let report = engine.serve(
@@ -1680,12 +1678,14 @@ mod tests {
     #[test]
     fn coalesced_same_stream_requests_hit_the_delta_path() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1).with_reuse(
-            crate::session::ReusePolicy {
-                warm_start: true,
-                cache_capacity: 0,
-            },
-        );
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(
+                SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy {
+                    warm_start: true,
+                    cache_capacity: 0,
+                }),
+            )
+            .build();
         let q1 = RangeQuery::new(0, 0, 2, 3).buckets(5);
         let q2 = RangeQuery::new(0, 1, 2, 3).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
@@ -1705,8 +1705,13 @@ mod tests {
         let (system, alloc) = setup();
         // Probe budget 0 through the engine: every solve bails to its
         // feasible upper bound immediately.
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2)
-            .with_budget(SolveBudget::default().with_max_probes(0));
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(
+                SolverSpec::new(SolverKind::PushRelabelBinary)
+                    .budget(SolveBudget::default().with_max_probes(0)),
+            )
+            .shards(2)
+            .build();
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             for s in 0..4usize {
                 let q = RangeQuery::new(s, 0, 2, 3).buckets(5);
@@ -1739,7 +1744,7 @@ mod tests {
             }
         }
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, AlwaysPanics, 1);
+        let mut engine = Engine::builder(&system, &alloc).build_with(AlwaysPanics);
         let buckets = RangeQuery::new(0, 0, 1, 1).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             h.submit(QueryRequest::new(0, buckets.clone())).unwrap()
@@ -1770,20 +1775,18 @@ mod tests {
         // query is infeasible and the retry loop probes past the clock.
         let dead: Vec<usize> = alloc.replicas(buckets[0]).iter().collect();
         let retrying = || {
-            Engine::new(&system, &alloc, PushRelabelBinary, 1)
-                .with_fault_injector(FaultInjector::pinned(
+            Engine::builder(&system, &alloc)
+                .fault_injector(FaultInjector::pinned(
                     &crate::fault::HealthMap::with_offline(&dead),
                 ))
-                .with_retry_policy(RetryPolicy {
+                .retry_policy(RetryPolicy {
                     max_retries: 2,
                     backoff: Micros::from_millis(1),
                 })
+                .build()
         };
         let want = EngineError::Session(crate::error::SessionError::ClockOverflow { arrival });
-        for mut engine in [
-            Engine::new(&system, &alloc, PushRelabelBinary, 1),
-            retrying(),
-        ] {
+        for mut engine in [Engine::builder(&system, &alloc).build(), retrying()] {
             let results = engine.submit_batch(std::slice::from_ref(&query));
             assert_eq!(results[0].as_ref().unwrap_err(), &want);
             assert_eq!(engine.stats().shard_failures, 0);
@@ -1817,12 +1820,13 @@ mod tests {
             injector.schedule(Micros::ZERO, d, DiskHealth::Offline);
             injector.schedule(Micros::from_millis(5), d, DiskHealth::Healthy);
         }
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1)
-            .with_fault_injector(injector)
-            .with_retry_policy(RetryPolicy {
+        let mut engine = Engine::builder(&system, &alloc)
+            .fault_injector(injector)
+            .retry_policy(RetryPolicy {
                 max_retries: 30,
                 backoff: Micros::from_millis(1),
-            });
+            })
+            .build();
         let report = engine.serve(ServeConfig::default(), |h| {
             h.submit(QueryRequest::new(0, buckets.clone())).unwrap()
         });
@@ -1838,7 +1842,7 @@ mod tests {
     #[test]
     fn serve_metrics_registry_has_admission_counters() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let buckets = RangeQuery::new(0, 0, 1, 2).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             h.submit(QueryRequest::new(0, buckets.clone())).unwrap();
@@ -1863,7 +1867,7 @@ mod tests {
             .collect();
         let mut want: Option<std::collections::BTreeMap<u64, u64>> = None;
         for shards in [1usize, 2, 4] {
-            let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
+            let mut engine = Engine::builder(&system, &alloc).shards(shards).build();
             engine.serve(ServeConfig::default().virtual_time(), |h| {
                 for q in &queries {
                     h.submit(QueryRequest::new(q.stream, q.buckets.clone()).arriving_at(q.arrival))
@@ -1887,7 +1891,6 @@ mod tests {
 
     #[test]
     fn fused_serving_matches_serial_across_shard_counts() {
-        use crate::spec::{ArenaLayout, SolverKind, SolverSpec};
         use std::hash::{Hash, Hasher};
         let (system, alloc) = setup();
         let queries: Vec<BatchQuery> = (0..24)
@@ -1909,7 +1912,7 @@ mod tests {
         let mut digest = std::collections::hash_map::DefaultHasher::new();
         for layout in [ArenaLayout::Wide, ArenaLayout::Compact] {
             let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
-                .reuse(crate::session::ReusePolicy::warm())
+                .reuse(ReusePolicy::warm())
                 .arena_layout(layout);
             let mut want: Option<Vec<TicketKey>> = None;
             for (fuse, shards) in CONFIGS {
@@ -1948,7 +1951,7 @@ mod tests {
     #[test]
     fn virtual_batch_window_coalesces_deterministically() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let report = engine.serve(
             ServeConfig::default()
                 .virtual_time()
@@ -1990,13 +1993,14 @@ mod tests {
         // healthy_head 0 recycles every healthy span straight back to the
         // free list, so after the first checkout per shard the recorder
         // must never allocate another shell.
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2).with_flight_recorder(
-            crate::obs::recorder::FlightRecorderConfig {
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(2)
+            .flight_recorder(crate::obs::recorder::FlightRecorderConfig {
                 capacity: 8,
                 healthy_head: 0,
                 max_phases: 32,
-            },
-        );
+            })
+            .build();
         let buckets = |k: usize| RangeQuery::new(k % 5, 0, 1, 2).buckets(5);
         let r1 = engine.serve(ServeConfig::default().virtual_time(), |h| {
             for k in 0..16usize {
@@ -2029,7 +2033,7 @@ mod tests {
     #[test]
     fn deadline_miss_is_retrievable_via_postmortem_and_exports() {
         let (system, alloc) = setup();
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+        let mut engine = Engine::builder(&system, &alloc).build();
         let buckets = RangeQuery::new(0, 0, 2, 3).buckets(5);
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             // A 1us deadline admits (it has not passed at arrival) but any

@@ -27,7 +27,7 @@ use crate::obs::span::PhaseKind;
 use crate::obs::trace::TraceEvent;
 use crate::schedule::{RetrievalOutcome, SolveStats};
 use crate::solver::RetrievalSolver;
-use crate::spec::ScheduleObjective;
+use crate::spec::{AnySolver, ScheduleObjective, SolverSpec};
 use crate::workspace::{on_graph, Workspace};
 use rds_decluster::allocation::ReplicaSource;
 use rds_decluster::query::Bucket;
@@ -248,18 +248,6 @@ impl SessionState {
         let mut state = SessionState::new(num_disks);
         state.reuse = reuse;
         state
-    }
-
-    /// Replaces the reuse policy. Disabling warm start also drops any
-    /// captured flow snapshot.
-    pub fn set_reuse_policy(&mut self, reuse: ReusePolicy) {
-        self.reuse = reuse;
-        if !reuse.warm_start {
-            self.warm = None;
-        }
-        if reuse.cache_capacity == 0 {
-            self.cache.entries.clear();
-        }
     }
 
     /// The active reuse policy.
@@ -635,24 +623,16 @@ pub struct RetrievalSession<'a, A: ReplicaSource, S: RetrievalSolver> {
     workspace: Workspace,
 }
 
-impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
-    /// Opens a session; all disks start idle.
-    pub fn new(system: &'a SystemConfig, alloc: &'a A, solver: S) -> Self {
-        RetrievalSession {
-            state: SessionState::new(system.num_disks()),
-            workspace: Workspace::new(),
-            system,
-            alloc,
-            solver,
-        }
-    }
-
-    /// Opens a session with cross-query reuse configured: warm-start
-    /// delta solving and/or a per-stream schedule cache.
+impl<'a, A: ReplicaSource> RetrievalSession<'a, A, AnySolver> {
+    /// Opens a session under `spec`: its kind and parallelism pick the
+    /// solver, and its reuse, objective, budget and arena layout apply to
+    /// every submit — exactly as an [`Engine`](crate::engine::Engine)
+    /// built from the same spec treats each of its streams. `slo` and
+    /// `batch_fuse` configure the engine's serving loop and drains only.
     ///
     /// ```
-    /// use rds_core::pr::PushRelabelBinary;
     /// use rds_core::session::{ReusePolicy, RetrievalSession};
+    /// use rds_core::spec::{SolverKind, SolverSpec};
     /// use rds_decluster::orthogonal::OrthogonalAllocation;
     /// use rds_decluster::query::{Query, RangeQuery};
     /// use rds_storage::experiments::paper_example;
@@ -660,8 +640,8 @@ impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
     ///
     /// let system = paper_example();
     /// let alloc = OrthogonalAllocation::paper_7x7();
-    /// let mut session =
-    ///     RetrievalSession::with_reuse(&system, &alloc, PushRelabelBinary, ReusePolicy::warm());
+    /// let spec = SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy::warm());
+    /// let mut session = RetrievalSession::from_spec(&system, &alloc, &spec);
     /// // Two overlapping range queries of equal size: the second is
     /// // delta-solved by patching the first one's flow.
     /// let q1 = RangeQuery::new(0, 0, 2, 3).buckets(7);
@@ -670,66 +650,29 @@ impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
     /// session.submit(Micros::from_millis(50), &q2).unwrap();
     /// assert_eq!(session.reuse_counters().delta_patches, 1);
     /// ```
-    pub fn with_reuse(
-        system: &'a SystemConfig,
-        alloc: &'a A,
-        solver: S,
-        reuse: ReusePolicy,
-    ) -> Self {
+    pub fn from_spec(system: &'a SystemConfig, alloc: &'a A, spec: &SolverSpec) -> Self {
+        let mut session = RetrievalSession::new(system, alloc, spec.build());
+        session.state.reuse = spec.reuse;
+        session.state.set_objective(spec.objective);
+        session.workspace.arm_budget(spec.budget);
+        session.workspace.set_arena_layout(spec.arena_layout);
+        session
+    }
+}
+
+impl<'a, A: ReplicaSource, S: RetrievalSolver> RetrievalSession<'a, A, S> {
+    /// Opens a session around a concrete solver with the default policy
+    /// (no reuse, first-feasible schedules, unlimited budget, automatic
+    /// arena width); all disks start idle. Use
+    /// [`RetrievalSession::from_spec`] for any other policy.
+    pub fn new(system: &'a SystemConfig, alloc: &'a A, solver: S) -> Self {
         RetrievalSession {
-            state: SessionState::with_reuse(system.num_disks(), reuse),
+            state: SessionState::new(system.num_disks()),
             workspace: Workspace::new(),
             system,
             alloc,
             solver,
         }
-    }
-
-    /// Sets the schedule objective for subsequent submits: refined
-    /// schedules keep the optimal response time but balance per-disk
-    /// load. Chainable at construction time.
-    ///
-    /// ```
-    /// use rds_core::pr::PushRelabelBinary;
-    /// use rds_core::session::RetrievalSession;
-    /// use rds_core::spec::ScheduleObjective;
-    /// use rds_decluster::orthogonal::OrthogonalAllocation;
-    /// use rds_storage::experiments::paper_example;
-    ///
-    /// let system = paper_example();
-    /// let alloc = OrthogonalAllocation::paper_7x7();
-    /// let session = RetrievalSession::new(&system, &alloc, PushRelabelBinary)
-    ///     .objective(ScheduleObjective::MinTotalLoad);
-    /// ```
-    pub fn objective(mut self, objective: ScheduleObjective) -> Self {
-        self.state.set_objective(objective);
-        self
-    }
-
-    /// Sets the anytime [`SolveBudget`](crate::spec::SolveBudget) armed
-    /// for every subsequent submit. An expired budget finalizes the solve
-    /// at the best feasible bound found so far instead of running to the
-    /// exact optimum — the gap is reported in
-    /// [`SolveStats::anytime_gap`](crate::schedule::SolveStats::anytime_gap).
-    /// Chainable at construction time; defaults to unlimited.
-    pub fn budget(mut self, budget: crate::spec::SolveBudget) -> Self {
-        self.workspace.arm_budget(budget);
-        self
-    }
-
-    /// Replaces the armed solve budget mid-session.
-    pub fn set_budget(&mut self, budget: crate::spec::SolveBudget) {
-        self.workspace.arm_budget(budget);
-    }
-
-    /// Forces the residual arena's index width for every subsequent
-    /// submit. The default, [`ArenaLayout::Auto`](crate::spec::ArenaLayout),
-    /// picks the compact `i32` arena whenever the instance's peak edge
-    /// capacity fits and transparently widens when it does not.
-    /// Chainable at construction time.
-    pub fn arena_layout(mut self, layout: crate::spec::ArenaLayout) -> Self {
-        self.workspace.set_arena_layout(layout);
-        self
     }
 
     /// Reuse effectiveness counters accumulated so far.
@@ -833,6 +776,30 @@ mod tests {
             SystemConfig::homogeneous(CHEETAH, 5),
             OrthogonalAllocation::new(5, Placement::SingleSite),
         )
+    }
+
+    #[test]
+    fn from_spec_applies_every_session_field() {
+        use crate::spec::{ArenaLayout, SolveBudget, SolverKind};
+        let (system, alloc) = setup();
+        let spec = SolverSpec::new(SolverKind::ParallelPushRelabelBinary)
+            .parallelism(3)
+            .reuse(ReusePolicy::warm())
+            .objective(ScheduleObjective::MinMaxLoad)
+            .budget(SolveBudget::default().with_max_probes(7))
+            .arena_layout(ArenaLayout::Wide);
+        let mut session = RetrievalSession::from_spec(&system, &alloc, &spec);
+        assert!(matches!(
+            session.solver,
+            AnySolver::ParallelPushRelabelBinary(s) if s.threads == 3
+        ));
+        assert_eq!(session.state.reuse_policy(), spec.reuse);
+        assert_eq!(session.state.objective(), spec.objective);
+        assert_eq!(session.workspace.armed_budget(), spec.budget);
+        let out = session
+            .submit(Micros::ZERO, &RangeQuery::new(0, 0, 2, 2).buckets(5))
+            .unwrap();
+        assert_eq!(out.outcome.stats.arena_layout, ArenaLayout::Wide);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! [`RetrievalSolver`], but picking one at
 //! runtime previously meant threading a generic parameter (or a `Box<dyn>`)
 //! through every layer. [`SolverKind`] names each algorithm as plain data,
-//! [`SolverSpec`] pairs a kind with its tuning knobs (thread count, warm
-//! start, cache capacity), and [`SolverSpec::build`] materializes an
+//! [`SolverSpec`] pairs a kind with the policy around it (thread count,
+//! reuse, objective, budget, arena width, SLOs, fused drains) — the one
+//! configuration value every engine and session is built from — and
+//! [`SolverSpec::build`] materializes an
 //! [`AnySolver`] — a zero-allocation enum that dispatches to the concrete
 //! solver and inherits its delta-solve capability.
 
@@ -18,6 +20,7 @@ use crate::obs::slo::SloPolicy;
 use crate::parallel::ParallelPushRelabelBinary;
 use crate::pr::{PushRelabelBinary, PushRelabelIncremental};
 use crate::schedule::RetrievalOutcome;
+use crate::session::ReusePolicy;
 use crate::solver::RetrievalSolver;
 use crate::workspace::Workspace;
 use std::time::Duration;
@@ -178,8 +181,8 @@ impl SolverKind {
     }
 
     /// Whether the built solver can delta-solve a warm workspace. Kinds
-    /// that return `false` still work under `warm_start(true)` — sessions
-    /// fall back to a full rebuild per query.
+    /// that return `false` still work under a warm [`ReusePolicy`] —
+    /// sessions fall back to a full rebuild per query.
     pub fn supports_delta(self) -> bool {
         SolverSpec::new(self).build().supports_delta()
     }
@@ -231,8 +234,10 @@ impl ScheduleObjective {
     }
 }
 
-/// A solver kind plus its tuning knobs — the value accepted by
-/// [`Engine::builder`](crate::engine::Engine::builder).
+/// A solver kind plus the policy around it — the one configuration
+/// surface of [`EngineBuilder`](crate::engine::EngineBuilder) and
+/// [`RetrievalSession::from_spec`](crate::session::RetrievalSession::from_spec).
+/// Serving-loop knobs live on [`ServeConfig`](crate::serve::ServeConfig).
 ///
 /// ```
 /// use rds_core::prelude::*;
@@ -241,7 +246,7 @@ impl ScheduleObjective {
 ///     .objective(ScheduleObjective::MinTotalLoad)
 ///     .reuse(ReusePolicy::warm());
 /// assert_eq!(spec.build().name(), "PR-binary");
-/// assert!(spec.warm_start);
+/// assert!(spec.reuse.warm_start);
 /// ```
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SolverSpec::new`] and
@@ -256,21 +261,21 @@ pub struct SolverSpec {
     /// ignored by the other kinds. The engine sizes its shared worker
     /// pool from this value.
     pub parallelism: usize,
-    /// Reuse each stream's previous flow via delta patching when the
-    /// consecutive queries overlap. Kinds without delta support fall
-    /// back to a rebuild per query.
-    pub warm_start: bool,
-    /// Per-stream schedule cache entries (`0` disables the cache).
-    pub cache_capacity: usize,
+    /// Cross-query reuse per stream: warm-start delta solving and the
+    /// schedule cache (both off by default). Kinds without delta support
+    /// fall back to a rebuild per query.
+    pub reuse: ReusePolicy,
     /// Which response-time-optimal schedule to return.
     pub objective: ScheduleObjective,
     /// Anytime budget applied to every solve ([`SolveBudget::UNLIMITED`]
-    /// by default — exact optimum, pre-budget behaviour).
+    /// by default — exact optimum, pre-budget behaviour). The serving
+    /// loop further tightens it per query from the request's deadline.
     pub budget: SolveBudget,
     /// Per-priority-class service-level objectives tracked by
     /// [`Engine::serve`](crate::engine::Engine::serve). The default
     /// policy tracks the Interactive and Standard classes; use
     /// [`SloPolicy::disabled`] to silence the `rds_slo_*` series.
+    /// Engines only: sessions have no serving loop.
     pub slo: SloPolicy,
     /// Which arena width workspaces solve in
     /// ([`ArenaLayout::Auto`] by default — per-instance selection).
@@ -282,7 +287,7 @@ pub struct SolverSpec {
     /// on lanes with epoch-shared CSR topology planes, instead of solving
     /// them serially on one lane. Off by default. Results are
     /// bit-identical either way; only wall-clock and plane residency
-    /// change.
+    /// change. Engines only: a session has one stream.
     pub batch_fuse: bool,
 }
 
@@ -293,8 +298,7 @@ impl SolverSpec {
         SolverSpec {
             kind,
             parallelism: 0,
-            warm_start: false,
-            cache_capacity: 0,
+            reuse: ReusePolicy::default(),
             objective: ScheduleObjective::FirstFeasible,
             budget: SolveBudget::UNLIMITED,
             slo: SloPolicy::default(),
@@ -323,18 +327,6 @@ impl SolverSpec {
         self
     }
 
-    /// Enables or disables warm-start delta solving.
-    pub fn warm_start(mut self, on: bool) -> SolverSpec {
-        self.warm_start = on;
-        self
-    }
-
-    /// Sets the per-stream schedule cache capacity.
-    pub fn cache_capacity(mut self, entries: usize) -> SolverSpec {
-        self.cache_capacity = entries;
-        self
-    }
-
     /// Sets the schedule objective.
     pub fn objective(mut self, objective: ScheduleObjective) -> SolverSpec {
         self.objective = objective;
@@ -353,19 +345,10 @@ impl SolverSpec {
         self
     }
 
-    /// Sets both reuse knobs from a [`ReusePolicy`](crate::session::ReusePolicy).
-    pub fn reuse(mut self, policy: crate::session::ReusePolicy) -> SolverSpec {
-        self.warm_start = policy.warm_start;
-        self.cache_capacity = policy.cache_capacity;
+    /// Sets the cross-query reuse policy.
+    pub fn reuse(mut self, policy: ReusePolicy) -> SolverSpec {
+        self.reuse = policy;
         self
-    }
-
-    /// The reuse policy half of the spec.
-    pub fn reuse_policy(&self) -> crate::session::ReusePolicy {
-        crate::session::ReusePolicy {
-            warm_start: self.warm_start,
-            cache_capacity: self.cache_capacity,
-        }
     }
 
     /// Solves one instance under this spec's kind and objective: a cold
@@ -537,21 +520,20 @@ mod tests {
     fn spec_builder_sets_knobs() {
         let spec = SolverSpec::new(SolverKind::ParallelPushRelabelBinary)
             .parallelism(2)
-            .warm_start(true)
-            .cache_capacity(4)
+            .reuse(ReusePolicy {
+                warm_start: true,
+                cache_capacity: 4,
+            })
             .arena_layout(ArenaLayout::Wide)
             .batch_fuse(true);
         assert_eq!(spec.parallelism, 2);
-        assert!(spec.warm_start);
-        assert_eq!(spec.cache_capacity, 4);
+        assert!(spec.reuse.warm_start);
+        assert_eq!(spec.reuse.cache_capacity, 4);
         assert_eq!(spec.arena_layout, ArenaLayout::Wide);
         assert!(spec.batch_fuse);
         assert!(!SolverSpec::new(SolverKind::PushRelabelBinary).batch_fuse);
         assert_eq!(ArenaLayout::default(), ArenaLayout::Auto);
         assert_eq!(ArenaLayout::Compact.name(), "compact");
-        let policy = spec.reuse_policy();
-        assert!(policy.warm_start);
-        assert_eq!(policy.cache_capacity, 4);
         assert_eq!(
             SolverSpec::from(SolverKind::PushRelabelBinary).kind,
             SolverKind::PushRelabelBinary

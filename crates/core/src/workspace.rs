@@ -366,13 +366,13 @@ impl Workspace {
 
     /// Installs a ring-buffer [`crate::obs::trace::Recorder`] with the
     /// given capacity as this workspace's trace sink; subsequent solves
-    /// emit [`TraceEvent`]s into it. No-op without the `trace` feature.
+    /// emit [`TraceEvent`]s into it.
     pub fn install_recorder(&mut self, capacity: usize) {
         self.tracer.install_recorder(capacity);
     }
 
     /// Installs an arbitrary [`TraceSink`] (e.g. a closure) as this
-    /// workspace's trace sink. No-op without the `trace` feature.
+    /// workspace's trace sink.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.tracer.set_sink(sink);
     }
@@ -384,8 +384,7 @@ impl Workspace {
     }
 
     /// The installed ring-buffer recorder, if one was installed via
-    /// [`Workspace::install_recorder`] (always `None` without the `trace`
-    /// feature).
+    /// [`Workspace::install_recorder`].
     pub fn recorder(&self) -> Option<&crate::obs::trace::Recorder> {
         self.tracer.recorder()
     }

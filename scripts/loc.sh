@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Line counts of rds-core's serving and observability modules.
+# Line counts of rds-core's serving, configuration and observability
+# modules.
 #
 # For every file, "code" is the number of lines before the file's
 # top-level `#[cfg(test)]` (the whole file when it has none) and "total"
@@ -31,6 +32,7 @@ row engine engine.rs
 row serve serve.rs
 row session session.rs
 row workspace workspace.rs
+row spec spec.rs
 row obs/ obs/*.rs
 row engine+serve engine.rs serve.rs
 row tracked engine.rs serve.rs session.rs workspace.rs obs/*.rs

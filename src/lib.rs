@@ -44,7 +44,7 @@
 //!
 //! let alloc = OrthogonalAllocation::paper_7x7();
 //! let system = paper_example();
-//! let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+//! let mut engine = Engine::builder(&system, &alloc).shards(2).build();
 //! let queries: Vec<BatchQuery> = (0..4)
 //!     .map(|s| BatchQuery {
 //!         stream: s,

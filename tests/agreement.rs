@@ -148,12 +148,11 @@ fn warm_delta_sessions_stay_optimal_per_step_for_every_kind() {
         };
         let system = experiment(exp, n, rng.gen_u64());
         let alloc = build_alloc(rng.gen_range(0..3), n, rng.gen_u64());
-        let policy = ReusePolicy {
+        let spec = SolverSpec::new(kind).reuse(ReusePolicy {
             warm_start: true,
             cache_capacity: 0,
-        };
-        let mut warm =
-            RetrievalSession::with_reuse(&system, &alloc, SolverSpec::new(kind).build(), policy);
+        });
+        let mut warm = RetrievalSession::from_spec(&system, &alloc, &spec);
         let mut arrival = Micros::ZERO;
         for step in 0..6usize {
             // Slide a fixed 3x4 window one row per query: equal sizes and

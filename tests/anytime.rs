@@ -165,11 +165,14 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
     ] {
         // As above: one worker pins the work-stealing discharge order so
         // the two sessions' schedules can be compared bit-for-bit.
-        let solver = SolverSpec::new(kind).warm_start(true).parallelism(1);
+        let spec = SolverSpec::new(kind).parallelism(1).reuse(ReusePolicy {
+            warm_start: true,
+            cache_capacity: 0,
+        });
         let generous = SolveBudget::default().with_max_probes(u64::MAX / 2);
 
-        let mut plain = RetrievalSession::new(&system, &alloc, solver.build());
-        let mut budgeted = RetrievalSession::new(&system, &alloc, solver.build()).budget(generous);
+        let mut plain = RetrievalSession::from_spec(&system, &alloc, &spec);
+        let mut budgeted = RetrievalSession::from_spec(&system, &alloc, &spec.budget(generous));
         for q in &windows {
             let a = plain.submit(Micros::ZERO, &q.buckets(7)).unwrap();
             let b = budgeted.submit(Micros::ZERO, &q.buckets(7)).unwrap();
@@ -184,8 +187,8 @@ fn sessions_respect_the_armed_budget_on_the_delta_path() {
             kind.name()
         );
 
-        let mut starved = RetrievalSession::new(&system, &alloc, solver.build())
-            .budget(SolveBudget::default().with_max_probes(0));
+        let starved_spec = spec.budget(SolveBudget::default().with_max_probes(0));
+        let mut starved = RetrievalSession::from_spec(&system, &alloc, &starved_spec);
         for q in &windows {
             let out = starved.submit(Micros::ZERO, &q.buckets(7)).unwrap();
             assert_eq!(out.outcome.schedule.len(), q.buckets(7).len());

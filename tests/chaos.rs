@@ -111,15 +111,17 @@ fn twenty_percent_outage_mid_batch_is_deterministic_and_contained() {
     );
 
     let run = |shards: usize| -> (Vec<Digest>, u64, u64, u64) {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards)
-            .with_fault_injector(injector())
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(shards)
+            .fault_injector(injector())
             // Probes land inside the outage for most victims (degraded
             // fallback) and past the recovery for late arrivals (retry).
-            .with_retry_policy(RetryPolicy {
+            .retry_policy(RetryPolicy {
                 max_retries: 2,
                 backoff: horizon / 10,
             })
-            .with_degraded_mode(true);
+            .degraded_mode(true)
+            .build();
         let results = engine.submit_batch(&queries);
         let digests = results.iter().map(digest).collect();
         let stats = engine.stats();
@@ -186,13 +188,15 @@ fn serve_chaos_overload_and_outage_resolves_every_submission_deterministically()
     };
 
     let run = |shards: usize| -> (Vec<ServeDigest>, u64, u64) {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards)
-            .with_fault_injector(injector())
-            .with_retry_policy(RetryPolicy {
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(shards)
+            .fault_injector(injector())
+            .retry_policy(RetryPolicy {
                 max_retries: 2,
                 backoff: horizon / 10,
             })
-            .with_degraded_mode(true);
+            .degraded_mode(true)
+            .build();
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             queries
                 .iter()
@@ -313,7 +317,7 @@ fn serve_overload_applies_queue_full_and_shed_backpressure() {
 
     let system = paper_example();
     let alloc = OrthogonalAllocation::paper_7x7();
-    let mut engine = Engine::new(&system, &alloc, Gate, 1);
+    let mut engine = Engine::builder(&system, &alloc).build_with(Gate);
     let buckets = RangeQuery::new(0, 0, 2, 2).buckets(GRID);
     let report = engine.serve(
         ServeConfig::default()
@@ -365,9 +369,11 @@ fn chaos_with_panicking_solver_keeps_healthy_streams_and_determinism() {
         || FaultInjector::random_outages(0x0DD5, system.num_disks(), 0.2, horizon / 4, None);
 
     let run = |shards: usize| -> Vec<Digest> {
-        let mut engine = Engine::new(&system, &alloc, Buggy { poison }, shards)
-            .with_fault_injector(injector())
-            .with_degraded_mode(true);
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(shards)
+            .fault_injector(injector())
+            .degraded_mode(true)
+            .build_with(Buggy { poison });
         engine.submit_batch(&queries).iter().map(digest).collect()
     };
 

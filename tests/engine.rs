@@ -91,7 +91,13 @@ fn sessions_stay_optimal_per_step_on_table_ii() {
 }
 
 /// Engine output over Table II is bit-identical for any shard count, and
-/// matches a plain single-stream session where streams coincide.
+/// each stream's results match a single-stream session — under every
+/// [`SolverSpec`] field, each applied by the engine builder and by
+/// [`RetrievalSession::from_spec`] alike. Each spec is chosen so that a
+/// field reaching only one front-end changes what the test compares:
+/// the objective and the layout change schedules and stats, the budget
+/// changes response times, reuse changes the reuse counters, and fusing
+/// changes the engine's fused-batch count.
 #[test]
 fn engine_is_deterministic_across_shard_counts_on_table_ii() {
     let system = paper_example();
@@ -107,29 +113,70 @@ fn engine_is_deterministic_across_shard_counts_on_table_ii() {
             });
         }
     }
-    let run = |shards: usize| -> Vec<(Micros, Micros)> {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
-        engine
-            .submit_batch(&queries)
-            .into_iter()
-            .map(|r| {
-                let o = r.unwrap();
-                (o.outcome.response_time, o.completion)
-            })
-            .collect()
+    let stream0: Vec<BatchQuery> = queries.iter().filter(|q| q.stream == 0).cloned().collect();
+    // Response time, completion, per-disk bucket counts and the arena
+    // width the solve ran in.
+    let key = |o: &SessionOutcome| {
+        (
+            o.outcome.response_time,
+            o.completion,
+            o.outcome.schedule.per_disk_counts(system.num_disks()),
+            o.outcome.stats.arena_layout,
+        )
     };
-    let baseline = run(1);
-    for shards in [2usize, 3, 5, 16] {
-        assert_eq!(run(shards), baseline, "{shards} shards");
-    }
+    let base = SolverSpec::new(SolverKind::PushRelabelBinary);
+    let specs = [
+        base,
+        base.reuse(ReusePolicy::warm())
+            .objective(ScheduleObjective::MinTotalLoad),
+        base.budget(SolveBudget::default().with_max_probes(1)),
+        base.arena_layout(ArenaLayout::Compact),
+        base.arena_layout(ArenaLayout::Wide),
+        base.batch_fuse(true).parallelism(2),
+    ];
+    for spec in specs {
+        let engine = |shards: usize| {
+            Engine::builder(&system, &alloc)
+                .solver_spec(spec)
+                .shards(shards)
+                .build()
+        };
+        let run = |shards: usize| {
+            let mut engine = engine(shards);
+            let keys: Vec<_> = engine
+                .submit_batch(&queries)
+                .iter()
+                .map(|r| key(r.as_ref().unwrap()))
+                .collect();
+            (keys, engine.stats().fused_batches)
+        };
+        let (baseline, fused_batches) = run(1);
+        assert_eq!(fused_batches > 0, spec.batch_fuse, "{spec:?}");
+        for shards in [2usize, 3, 5, 16] {
+            assert_eq!(run(shards).0, baseline, "{spec:?}: {shards} shards");
+        }
 
-    // Stream 0's sub-trace matches a standalone session fed the same
-    // queries.
-    let mut session = RetrievalSession::new(&system, &alloc, PushRelabelBinary);
-    for (q, &(rt, completion)) in queries.iter().zip(&baseline).filter(|(q, _)| q.stream == 0) {
-        let out = session.submit(q.arrival, &q.buckets).unwrap();
-        assert_eq!(out.outcome.response_time, rt);
-        assert_eq!(out.completion, completion);
+        // Every stream's sub-trace matches a standalone session fed the
+        // same queries.
+        let sessions: Vec<_> = (0..7usize)
+            .map(|stream| {
+                let mut session = RetrievalSession::from_spec(&system, &alloc, &spec);
+                for (q, want) in queries.iter().zip(&baseline) {
+                    if q.stream == stream {
+                        let out = session.submit(q.arrival, &q.buckets).unwrap();
+                        assert_eq!(&key(&out), want, "{spec:?}: stream {stream}");
+                    }
+                }
+                session
+            })
+            .collect();
+        // With stream 0 alone, the engine's reuse counters are the
+        // session's.
+        let mut engine = engine(1);
+        let results = engine.submit_batch(&stream0);
+        assert!(results.iter().all(Result::is_ok), "{spec:?}");
+        let session = &sessions[0];
+        assert_eq!(engine.stats().reuse, session.reuse_counters(), "{spec:?}");
     }
 }
 
@@ -141,7 +188,7 @@ fn malformed_input_is_an_error_not_a_panic() {
     let b = RangeQuery::new(0, 0, 1, 1).buckets(7);
 
     // Non-monotone arrivals on one stream.
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+    let mut engine = Engine::builder(&system, &alloc).shards(2).build();
     let mk = |ms: u64| BatchQuery {
         stream: 0,
         arrival: Micros::from_millis(ms),

@@ -204,14 +204,16 @@ fn event_counts_are_identical_across_shard_counts() {
         Some(Micros::from_millis(4)),
     );
     let run = |shards: usize| {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards)
-            .with_fault_injector(injector.clone())
-            .with_retry_policy(RetryPolicy {
+        let mut engine = Engine::builder(&system, &alloc)
+            .shards(shards)
+            .fault_injector(injector.clone())
+            .retry_policy(RetryPolicy {
                 max_retries: 3,
                 backoff: Micros::from_millis(1),
             })
-            .with_degraded_mode(true)
-            .with_tracing(1 << 12);
+            .degraded_mode(true)
+            .tracing(1 << 12)
+            .build();
         let _ = engine.submit_batch(&queries);
         engine.trace_counts()
     };
@@ -253,14 +255,16 @@ fn engine_fault_events_reconcile_with_stats() {
         Micros::from_millis(3),
         Some(Micros::from_millis(4)),
     );
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2)
-        .with_fault_injector(injector)
-        .with_retry_policy(RetryPolicy {
+    let mut engine = Engine::builder(&system, &alloc)
+        .shards(2)
+        .fault_injector(injector)
+        .retry_policy(RetryPolicy {
             max_retries: 3,
             backoff: Micros::from_millis(1),
         })
-        .with_degraded_mode(true)
-        .with_tracing(1 << 12);
+        .degraded_mode(true)
+        .tracing(1 << 12)
+        .build();
     let _ = engine.submit_batch(&queries);
     let counts = engine.trace_counts();
     assert_eq!(
@@ -282,7 +286,10 @@ fn engine_fault_events_reconcile_with_stats() {
 #[test]
 fn metrics_snapshot_quantiles_and_round_trip() {
     let (system, alloc, queries) = chaos_batch();
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2).with_tracing(1 << 12);
+    let mut engine = Engine::builder(&system, &alloc)
+        .shards(2)
+        .tracing(1 << 12)
+        .build();
     let results = engine.submit_batch(&queries);
     assert!(results.iter().all(Result::is_ok));
 
@@ -337,7 +344,7 @@ fn quantiles_clamp_to_observed_samples() {
     // latency histogram, so all its quantiles coincide with that sample.
     let system = SystemConfig::homogeneous(specs::CHEETAH, 5);
     let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 1);
+    let mut engine = Engine::builder(&system, &alloc).build();
     let results = engine.submit_batch(&[BatchQuery {
         stream: 0,
         arrival: Micros::ZERO,
@@ -382,9 +389,10 @@ fn warm_engine_reuse_is_shard_invariant() {
     let run = |shards: usize| {
         let mut engine = Engine::builder(&system, &alloc)
             .solver_spec(
-                SolverSpec::new(SolverKind::PushRelabelBinary)
-                    .warm_start(true)
-                    .cache_capacity(4),
+                SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy {
+                    warm_start: true,
+                    cache_capacity: 4,
+                }),
             )
             .shards(shards)
             .tracing(1 << 12)
@@ -426,7 +434,7 @@ fn warm_engine_reuse_is_shard_invariant() {
     }
     // A cold engine over the same batch agrees on every outcome and
     // reports zero reuse.
-    let mut cold = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+    let mut cold = Engine::builder(&system, &alloc).shards(2).build();
     let cold_outcomes: Vec<(Micros, Micros)> = cold
         .submit_batch(&queries)
         .into_iter()
@@ -439,12 +447,12 @@ fn warm_engine_reuse_is_shard_invariant() {
     assert_eq!(cold.stats().reuse, ReuseCounters::default());
 }
 
-/// Without `with_tracing`, the engine still measures histograms but
-/// reports zero trace events — the tracer stays a no-op.
+/// Without `EngineBuilder::tracing`, the engine still measures
+/// histograms but reports zero trace events — the tracer stays a no-op.
 #[test]
 fn untraced_engine_has_histograms_but_no_events() {
     let (system, alloc, queries) = chaos_batch();
-    let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+    let mut engine = Engine::builder(&system, &alloc).shards(2).build();
     let _ = engine.submit_batch(&queries);
     assert_eq!(engine.trace_counts(), [0u64; EventKind::COUNT]);
     assert!(engine.shard_recorder(0).is_none());

@@ -7,7 +7,6 @@
 //! redistributes which replicas carry the load.
 
 use rds_util::SplitMix64;
-use replicated_retrieval::core::pr::PushRelabelBinary;
 use replicated_retrieval::core::verify::assert_outcome_valid;
 use replicated_retrieval::prelude::*;
 
@@ -119,11 +118,10 @@ fn warm_refined_sessions_agree_with_cold_refined_solves() {
         ScheduleObjective::MinTotalLoad,
         ScheduleObjective::MinMaxLoad,
     ] {
+        let cold_spec = SolverSpec::new(SolverKind::PushRelabelBinary).objective(objective);
         let mut warm =
-            RetrievalSession::with_reuse(&system, &alloc, PushRelabelBinary, ReusePolicy::warm())
-                .objective(objective);
-        let mut cold =
-            RetrievalSession::new(&system, &alloc, PushRelabelBinary).objective(objective);
+            RetrievalSession::from_spec(&system, &alloc, &cold_spec.reuse(ReusePolicy::warm()));
+        let mut cold = RetrievalSession::from_spec(&system, &alloc, &cold_spec);
         for step in 0..24usize {
             // Snake the window one column at a time, wrapping rows: 80%
             // bucket overlap between consecutive queries, equal sizes —

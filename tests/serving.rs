@@ -25,7 +25,7 @@ fn shutdown_races_never_lose_or_duplicate_a_ticket() {
     const PER_PRODUCER: usize = 12;
 
     for iteration in 0..60u64 {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, 2);
+        let mut engine = Engine::builder(&system, &alloc).shards(2).build();
         // Vary when the shutdown fires relative to the producers: from
         // "immediately" to "after most submissions".
         let shutdown_after = (iteration % 13) * 4;
@@ -109,7 +109,7 @@ fn drain_serves_the_backlog_admitted_before_shutdown() {
     let system = SystemConfig::homogeneous(replicated_retrieval::storage::specs::CHEETAH, 5);
     let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
     for shards in [1usize, 2, 4] {
-        let mut engine = Engine::new(&system, &alloc, PushRelabelBinary, shards);
+        let mut engine = Engine::builder(&system, &alloc).shards(shards).build();
         let report = engine.serve(ServeConfig::default().virtual_time(), |h| {
             let mut admitted = 0u64;
             for k in 0..40usize {
