@@ -18,6 +18,7 @@
 
 use rds_core::engine::{BatchQuery, Engine};
 use rds_core::obs::metrics::Histogram;
+use rds_core::obs::span::RejectReason;
 use rds_core::pr::PushRelabelBinary;
 use rds_core::serve::{PriorityClass, QueryRequest, ServeConfig, ServeStats};
 use rds_decluster::orthogonal::OrthogonalAllocation;
@@ -170,8 +171,8 @@ fn phase_json(p: &Phase) -> String {
         qps = p.stats.completed_per_sec(),
         submitted = p.stats.submitted,
         completed = p.stats.completed,
-        full = p.stats.rejected_queue_full,
-        shed = p.stats.rejected_shed,
+        full = p.stats.rejected_for(RejectReason::QueueFull),
+        shed = p.stats.rejected_for(RejectReason::ShedLowPriority),
         rate = p.stats.shed_rate(),
         depth = p.stats.max_queue_depth,
         p50 = p.p50_us,

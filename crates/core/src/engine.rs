@@ -45,7 +45,7 @@ use crate::fault::{FaultInjector, HealthMap};
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, FlightRecorderConfig, Postmortem, RecorderStats};
 use crate::obs::span::QuerySpan;
-use crate::obs::trace::{EventKind, TraceEvent};
+use crate::obs::trace::TraceEvent;
 use crate::schedule::SolveStats;
 use crate::serve::{ClockState, ServeConfig, ServeError};
 use crate::session::{ReuseCounters, SessionOutcome, SessionState};
@@ -102,14 +102,15 @@ impl Default for RetryPolicy {
 
 /// Aggregate counters across everything an [`Engine`] has processed.
 #[must_use]
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[non_exhaustive]
 pub struct EngineStats {
     /// Queries submitted (successful or not).
     pub queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
-    /// Batches processed.
+    /// `submit_batch` calls and [`Engine::serve`](crate::serve) runs
+    /// processed.
     pub batches: u64,
     /// Wall-clock time spent in `submit_batch` calls and
     /// [`Engine::serve`](crate::serve) runs.
@@ -127,7 +128,8 @@ pub struct EngineStats {
     pub degraded_solves: u64,
     /// Buckets dropped as unservable across all degraded solves.
     pub dropped_buckets: u64,
-    /// Queries lost to a contained panic ([`EngineError::ShardFailed`]).
+    /// Queries lost to a panic ([`EngineError::ShardFailed`]); the same
+    /// count as [`ServeStats::panics`](crate::serve::ServeStats::panics).
     pub shard_failures: u64,
     /// Batches (per shard) that took the fused drain path: multiple
     /// distinct-stream groups solved concurrently on detached lanes
@@ -136,11 +138,29 @@ pub struct EngineStats {
     /// Queries solved on a fused lane (subset of `queries`).
     pub fused_queries: u64,
     /// Cross-query reuse effectiveness (schedule-cache hits, delta
-    /// patches, fallbacks), summed over every live stream.
+    /// patches, fallbacks), accumulated over every solve — monotone, so
+    /// dropping a stream's state (after a panic) loses nothing.
     pub reuse: ReuseCounters,
 }
 
 impl EngineStats {
+    /// Adds `other`'s counts into `self`.
+    pub(crate) fn merge(&mut self, other: &EngineStats) {
+        self.queries += other.queries;
+        self.errors += other.errors;
+        self.batches += other.batches;
+        self.elapsed += other.elapsed;
+        self.solve_stats.accumulate(&other.solve_stats);
+        self.workspace_solves += other.workspace_solves;
+        self.retries += other.retries;
+        self.degraded_solves += other.degraded_solves;
+        self.dropped_buckets += other.dropped_buckets;
+        self.shard_failures += other.shard_failures;
+        self.fused_batches += other.fused_batches;
+        self.fused_queries += other.fused_queries;
+        self.reuse.merge(&other.reuse);
+    }
+
     /// Query throughput over the accumulated wall time of every
     /// `submit_batch` call and `serve` run ([`EngineStats::elapsed`]).
     pub fn queries_per_sec(&self) -> f64 {
@@ -154,8 +174,8 @@ impl EngineStats {
 }
 
 /// A point-in-time snapshot of an [`Engine`]'s observability state:
-/// aggregate counters, quantile summaries of the latency histograms, the
-/// histograms themselves, and per-kind trace-event totals.
+/// aggregate counters, quantile summaries of the latency histograms and
+/// the histograms themselves.
 ///
 /// Produced by [`Engine::metrics_snapshot`]; plain owned data. Use
 /// [`MetricsSnapshot::to_registry`] (or the `to_prometheus`/`to_json`
@@ -176,9 +196,6 @@ pub struct MetricsSnapshot {
     pub turnaround_us: LatencySummary,
     /// The underlying histograms.
     pub histograms: EngineMetrics,
-    /// Trace-event totals by [`EventKind`] (all zeros unless tracing was
-    /// enabled with [`EngineBuilder::tracing`]).
-    pub trace_counts: [u64; EventKind::COUNT],
 }
 
 impl MetricsSnapshot {
@@ -250,12 +267,6 @@ impl MetricsSnapshot {
             &[("layout", self.stats.solve_stats.arena_layout.name())],
             1,
         );
-        for kind in EventKind::ALL {
-            let count = self.trace_counts[kind as usize];
-            if count > 0 {
-                reg.inc_counter(&format!("rds_trace_{}_total", kind.name()), count);
-            }
-        }
         *reg.histogram_mut("rds_solve_latency_us") = self.histograms.solve_latency_us.clone();
         *reg.histogram_mut("rds_probes_per_solve") = self.histograms.probes_per_solve.clone();
         *reg.histogram_mut("rds_turnaround_us") = self.histograms.turnaround_us.clone();
@@ -291,46 +302,10 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn merge(&mut self, other: &EngineMetrics) {
+    pub(crate) fn merge(&mut self, other: &EngineMetrics) {
         self.solve_latency_us.merge(&other.solve_latency_us);
         self.probes_per_solve.merge(&other.probes_per_solve);
         self.turnaround_us.merge(&other.turnaround_us);
-    }
-}
-
-/// Counters and histograms a shard (or one of its lanes) reports back
-/// from a run.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShardTally {
-    pub(crate) retries: u64,
-    pub(crate) degraded_solves: u64,
-    pub(crate) dropped_buckets: u64,
-    pub(crate) shard_failures: u64,
-    pub(crate) fused_batches: u64,
-    pub(crate) fused_queries: u64,
-    pub(crate) metrics: EngineMetrics,
-}
-
-impl ShardTally {
-    pub(crate) fn accumulate(&self, stats: &mut EngineStats, metrics: &mut EngineMetrics) {
-        stats.retries += self.retries;
-        stats.degraded_solves += self.degraded_solves;
-        stats.dropped_buckets += self.dropped_buckets;
-        stats.shard_failures += self.shard_failures;
-        stats.fused_batches += self.fused_batches;
-        stats.fused_queries += self.fused_queries;
-        metrics.merge(&self.metrics);
-    }
-
-    /// Folds a lane's tally into this shard-level one.
-    pub(crate) fn merge(&mut self, other: &ShardTally) {
-        self.retries += other.retries;
-        self.degraded_solves += other.degraded_solves;
-        self.dropped_buckets += other.dropped_buckets;
-        self.shard_failures += other.shard_failures;
-        self.fused_batches += other.fused_batches;
-        self.fused_queries += other.fused_queries;
-        self.metrics.merge(&other.metrics);
     }
 }
 
@@ -392,16 +367,29 @@ pub(crate) struct DrainItem<T> {
     pub(crate) tag: T,
 }
 
-/// A lane's answer for one [`DrainItem`].
+/// A lane's answer for one [`DrainItem`]: its result plus the facts of
+/// the solve, which the finish stage counts.
 pub(crate) struct Drained<T> {
     /// [`EngineError::ShardFailed`] exactly when the solve panicked.
     pub(crate) result: Result<SessionOutcome, EngineError>,
     /// Wall time of the solve, including retries and the degraded
     /// fallback.
     pub(crate) solve_us: u64,
+    pub(crate) facts: SolveFacts,
     /// The item's span, disarmed after the solve.
     pub(crate) span: Option<QuerySpan>,
     pub(crate) tag: T,
+}
+
+/// What one solve did besides producing its result.
+#[derive(Default)]
+pub(crate) struct SolveFacts {
+    /// Re-solves after a backoff probe saw the health change.
+    pub(crate) retries: u64,
+    /// Whether the degraded fallback answered.
+    pub(crate) degraded: bool,
+    /// Reuse counters the stream's state gained during the solve.
+    pub(crate) reuse: ReuseCounters,
 }
 
 /// Creates the session state for a stream's first query under `ctx`'s
@@ -416,15 +404,14 @@ impl Lane {
     /// Solves one item on this lane with its budget and span armed. This
     /// is the one panic-containment policy: a panicking solve drops its
     /// stream's state (a fresh clock on the stream's next query),
-    /// reclaims the lane workspace, counts a shard failure and a
-    /// solve-latency sample, and leaves batchmates unharmed.
+    /// reclaims the lane workspace, answers
+    /// [`EngineError::ShardFailed`], and leaves batchmates unharmed.
     pub(crate) fn solve<A, S, T>(
         &mut self,
         shard_idx: usize,
         ctx: &DrainCtx<'_, A, S>,
         states: &mut HashMap<usize, SessionState>,
         item: DrainItem<T>,
-        tally: &mut ShardTally,
     ) -> Drained<T>
     where
         A: ReplicaSource + ?Sized,
@@ -441,31 +428,25 @@ impl Lane {
             self.workspace.tracer.arm_span(span);
         }
         self.workspace.arm_budget(budget);
+        let state = states
+            .entry(query.stream)
+            .or_insert_with(|| new_stream_state(ctx));
+        let mut facts = SolveFacts::default();
         let started = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let state = states
-                .entry(query.stream)
-                .or_insert_with(|| new_stream_state(ctx));
-            run_one(ctx, &query, deadline, state, self, tally)
+            run_one(ctx, &query, deadline, state, self, &mut facts)
         }));
         let solve_us = started.elapsed().as_micros() as u64;
-        tally.metrics.solve_latency_us.record(solve_us);
+        facts.reuse = state.take_reuse_counters();
         let result = caught.unwrap_or_else(|_| {
             states.remove(&query.stream);
             let _ = self.workspace.take_poisoned();
-            tally.shard_failures += 1;
             Err(EngineError::ShardFailed { shard: shard_idx })
         });
-        if let Ok(o) = &result {
-            let metrics = &mut tally.metrics;
-            metrics.probes_per_solve.record(o.outcome.stats.probes);
-            metrics
-                .turnaround_us
-                .record((o.completion - o.arrival).as_micros());
-        }
         Drained {
             result,
             solve_us,
+            facts,
             span: self.workspace.tracer.disarm_span(),
             tag,
         }
@@ -474,14 +455,14 @@ impl Lane {
 
 /// Solves one query for `state` on `lane` under the health in force when
 /// it is probed, with bounded replanning and an optional degraded
-/// fallback.
+/// fallback, noting retries and the fallback in `facts`.
 fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
     ctx: &DrainCtx<'_, A, S>,
     q: &BatchQuery,
     deadline: Option<Micros>,
     state: &mut SessionState,
     lane: &mut Lane,
-    tally: &mut ShardTally,
+    facts: &mut SolveFacts,
 ) -> Result<SessionOutcome, EngineError> {
     let Lane { workspace, health } = lane;
     if let Some(inj) = ctx.injector {
@@ -531,7 +512,7 @@ fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
             if health.fingerprint() == before {
                 continue;
             }
-            tally.retries += 1;
+            facts.retries += 1;
             state.observed_health_fp = health.fingerprint();
             workspace
                 .tracer
@@ -547,10 +528,7 @@ fn run_one<A: ReplicaSource + ?Sized, S: RetrievalSolver + ?Sized>(
         result = state.submit_degraded_with(
             ctx.system, ctx.alloc, ctx.solver, workspace, q.arrival, &q.buckets, health,
         );
-        if let Ok(o) = &result {
-            tally.degraded_solves += 1;
-            tally.dropped_buckets += o.unservable.len() as u64;
-        }
+        facts.degraded = result.is_ok();
     }
 
     result.map_err(EngineError::from)
@@ -663,10 +641,10 @@ impl<'a, A: ReplicaSource + Sync> EngineBuilder<'a, A> {
     }
 
     /// Installs a ring-buffer trace [`crate::obs::trace::Recorder`] of
-    /// `capacity` events in every shard, so solver-phase [`TraceEvent`]s
-    /// are captured. Per-kind counts stay exact even after the ring
-    /// wraps; merged counts are surfaced by [`Engine::trace_counts`] and
-    /// [`Engine::metrics_snapshot`].
+    /// `capacity` events in every shard's inline lane, so the solver-phase
+    /// [`TraceEvent`]s of single-lane drains are captured (read them with
+    /// [`Engine::shard_recorder`]). Fused pool lanes record none; the
+    /// engine's counters are [`Engine::stats`], not event counts.
     pub fn tracing(mut self, capacity: usize) -> Self {
         self.tracing = Some(capacity);
         self
@@ -831,23 +809,9 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         self.shards.get(shard)?.inline.workspace.recorder()
     }
 
-    /// Per-kind [`TraceEvent`] totals summed over every shard's recorder
-    /// (all zeros when tracing is off), indexed by `EventKind as usize`.
-    pub fn trace_counts(&self) -> [u64; EventKind::COUNT] {
-        let mut totals = [0u64; EventKind::COUNT];
-        for shard in &self.shards {
-            if let Some(rec) = shard.inline.workspace.recorder() {
-                for (t, &c) in totals.iter_mut().zip(rec.counts()) {
-                    *t += c;
-                }
-            }
-        }
-        totals
-    }
-
     /// A point-in-time snapshot of everything the engine measures:
-    /// counters, p50/p95/p99 latency summaries and trace-event totals —
-    /// plain data, exportable as Prometheus text or JSON.
+    /// counters and p50/p95/p99 latency summaries — plain data,
+    /// exportable as Prometheus text or JSON.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             stats: self.stats,
@@ -856,7 +820,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             probes_per_solve: self.metrics.probes_per_solve.summary(),
             turnaround_us: self.metrics.turnaround_us.summary(),
             histograms: self.metrics.clone(),
-            trace_counts: self.trace_counts(),
         }
     }
 
@@ -877,16 +840,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
         queries: &[BatchQuery],
     ) -> Vec<Result<SessionOutcome, EngineError>> {
         let num_shards = self.shards.len();
-        let mut routed = vec![0u32; num_shards];
-        for q in queries {
-            routed[q.stream % num_shards] += 1;
-        }
-        for (shard_idx, (shard, queries)) in self.shards.iter_mut().zip(routed).enumerate() {
-            shard.inline.workspace.tracer.emit(TraceEvent::ShardBatch {
-                shard: shard_idx as u32,
-                queries,
-            });
-        }
         let config = ServeConfig::default()
             .virtual_time()
             .queue_capacity(usize::MAX)
@@ -900,24 +853,17 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             results[r.ticket.0 as usize - 1] = Some(r.result.map_err(|ServeError::Engine(e)| e));
         }
         // A shard worker that died outside per-query containment left
-        // its queries unanswered: they fail typed.
-        let mut lost = 0;
-        let results = results
+        // its queries unanswered (`run_serving` counted them): they fail
+        // typed.
+        results
             .into_iter()
             .zip(queries)
             .map(|(r, q)| {
-                r.unwrap_or_else(|| {
-                    lost += 1;
-                    Err(EngineError::ShardFailed {
-                        shard: q.stream % num_shards,
-                    })
-                })
+                r.unwrap_or(Err(EngineError::ShardFailed {
+                    shard: q.stream % num_shards,
+                }))
             })
-            .collect();
-        self.stats.queries += lost;
-        self.stats.errors += lost;
-        self.stats.shard_failures += lost;
-        results
+            .collect()
     }
 }
 
@@ -1310,7 +1256,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_trace_counts_include_lane_plane_checkouts() {
+    fn fused_counts_reach_the_metrics_export() {
         let system = SystemConfig::homogeneous(CHEETAH, 5);
         let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
         let queries = batch(4, 2);
@@ -1320,18 +1266,61 @@ mod tests {
                     .reuse(ReusePolicy::warm())
                     .batch_fuse(true),
             )
-            .tracing(128)
             .build();
         let results = engine.submit_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
-        let counts = engine.trace_counts();
-        assert!(
-            counts[EventKind::PlaneCheckout as usize] > 0,
-            "lane checkouts visible through the shard recorder"
-        );
+        let stats = engine.stats();
+        assert_eq!(stats.fused_batches, 1);
+        assert_eq!(stats.fused_queries, queries.len() as u64);
         let reg = engine.metrics_snapshot().to_registry();
-        assert!(engine.stats().fused_batches >= 1);
-        assert!(reg.to_prometheus().contains("rds_fuse_batches_total"));
+        assert_eq!(reg.counter("rds_fuse_batches_total"), Some(1));
+        assert_eq!(
+            reg.counter("rds_fuse_queries_total"),
+            Some(queries.len() as u64)
+        );
+    }
+
+    /// Reuse counters accumulate per solve: a contained panic that drops
+    /// a warm stream's state keeps the hits and misses counted before it.
+    #[test]
+    fn reuse_counters_never_go_down() {
+        let system = SystemConfig::homogeneous(CHEETAH, 5);
+        let alloc = OrthogonalAllocation::new(5, Placement::SingleSite);
+        let bad = RangeQuery::new(3, 3, 1, 1).buckets(5);
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(
+                SolverSpec::new(SolverKind::PushRelabelBinary).reuse(ReusePolicy {
+                    warm_start: true,
+                    cache_capacity: 4,
+                }),
+            )
+            .build_with(PanicOnBucket(bad[0]));
+        let mk = |k: u64, buckets: Vec<Bucket>| BatchQuery {
+            stream: 0,
+            arrival: Micros::from_millis(k * 60_000),
+            buckets,
+        };
+        // Columns 0,1,0,2,1,0 of one window, spaced so loads drain:
+        // revisits hit the schedule cache.
+        let warm: Vec<BatchQuery> = [0usize, 1, 0, 2, 1, 0]
+            .iter()
+            .enumerate()
+            .map(|(k, &col)| mk(k as u64, RangeQuery::new(0, col, 2, 2).buckets(5)))
+            .collect();
+        assert!(engine.submit_batch(&warm).iter().all(|r| r.is_ok()));
+        let before = engine.stats().reuse;
+        assert_eq!((before.cache_hits, before.cache_misses), (3, 3));
+        let results = engine.submit_batch(&[mk(6, bad)]);
+        assert_eq!(
+            results[0].as_ref().unwrap_err(),
+            &EngineError::ShardFailed { shard: 0 }
+        );
+        let after = engine.stats().reuse;
+        assert!(after.cache_hits >= before.cache_hits, "{after:?}");
+        assert!(after.cache_misses >= before.cache_misses, "{after:?}");
+        assert!(after.cache_evictions >= before.cache_evictions, "{after:?}");
+        assert!(after.delta_patches >= before.delta_patches, "{after:?}");
+        assert!(after.delta_fallbacks >= before.delta_fallbacks, "{after:?}");
     }
 
     #[test]

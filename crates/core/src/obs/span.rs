@@ -486,8 +486,7 @@ impl SpanCollector {
             TraceEvent::ProbeStart { .. }
             | TraceEvent::Augment { .. }
             | TraceEvent::RelabelPass { .. }
-            | TraceEvent::CapacityIncrement { .. }
-            | TraceEvent::ShardBatch { .. } => {}
+            | TraceEvent::CapacityIncrement { .. } => {}
         }
     }
 }

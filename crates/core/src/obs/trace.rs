@@ -6,8 +6,8 @@
 //! phase boundaries the paper's algorithms define: binary-search probes
 //! (Algorithm 6 lines 12–37), augmenting-path searches (Algorithms 1–3),
 //! push-relabel resumes (Algorithms 4–6), `IncrementMinCost` steps
-//! (Algorithm 3), plus the serving-layer transitions added by the fault
-//! and engine PRs (retries, health changes, shard batches).
+//! (Algorithm 3), plus the serving-layer transitions (retries, health
+//! changes, degraded serves).
 //!
 //! Events are small `Copy` values. Emission goes through exactly one
 //! indirection — [`Tracer::emit`] — which forwards to the always-on span
@@ -89,13 +89,6 @@ pub enum TraceEvent {
         /// Buckets dropped (every replica offline).
         dropped: u32,
     },
-    /// One shard finished its slice of an engine batch.
-    ShardBatch {
-        /// Shard index.
-        shard: u32,
-        /// Queries the shard processed in this batch.
-        queries: u32,
-    },
     /// A warm workspace was delta-patched from the stream's previous
     /// query instead of rebuilt: `changed` bucket slots swapped identity
     /// and `cancelled` stale flow units were unwound through the residual
@@ -164,8 +157,6 @@ pub enum EventKind {
     HealthTransition,
     /// [`TraceEvent::DegradedServe`]
     DegradedServe,
-    /// [`TraceEvent::ShardBatch`]
-    ShardBatch,
     /// [`TraceEvent::DeltaPatch`]
     DeltaPatch,
     /// [`TraceEvent::CacheHit`]
@@ -180,7 +171,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Number of kinds (size of a per-kind counter array).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// Every kind, in discriminant order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
@@ -193,7 +184,6 @@ impl EventKind {
         EventKind::RetryScheduled,
         EventKind::HealthTransition,
         EventKind::DegradedServe,
-        EventKind::ShardBatch,
         EventKind::DeltaPatch,
         EventKind::CacheHit,
         EventKind::RefinePass,
@@ -213,7 +203,6 @@ impl EventKind {
             EventKind::RetryScheduled => "retry_scheduled",
             EventKind::HealthTransition => "health_transition",
             EventKind::DegradedServe => "degraded_serve",
-            EventKind::ShardBatch => "shard_batch",
             EventKind::DeltaPatch => "delta_patch",
             EventKind::CacheHit => "cache_hit",
             EventKind::RefinePass => "refine_pass",
@@ -236,7 +225,6 @@ impl TraceEvent {
             TraceEvent::RetryScheduled { .. } => EventKind::RetryScheduled,
             TraceEvent::HealthTransition { .. } => EventKind::HealthTransition,
             TraceEvent::DegradedServe { .. } => EventKind::DegradedServe,
-            TraceEvent::ShardBatch { .. } => EventKind::ShardBatch,
             TraceEvent::DeltaPatch { .. } => EventKind::DeltaPatch,
             TraceEvent::CacheHit { .. } => EventKind::CacheHit,
             TraceEvent::RefinePass { .. } => EventKind::RefinePass,
@@ -345,16 +333,6 @@ impl Recorder {
         self.dropped = 0;
         self.counts = [0; EventKind::COUNT];
     }
-
-    /// Adds another recorder's exact per-kind totals into this one
-    /// (retained events are not merged — ring order across recorders is
-    /// undefined).
-    pub fn absorb_counts(&mut self, other: &Recorder) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.dropped += other.dropped;
-    }
 }
 
 impl TraceSink for Recorder {
@@ -377,7 +355,7 @@ impl TraceSink for Recorder {
 /// is armed it costs one `Option` branch per emit (the path the
 /// `engine_speedup` and `span_overhead` benches guard). The sink half is
 /// a runtime choice: nothing (one more branch per emit), a [`Recorder`]
-/// (typed access preserved for [`crate::engine::Engine`] scraping), or
+/// (typed access preserved for [`crate::engine::Engine::shard_recorder`]), or
 /// an arbitrary boxed [`TraceSink`].
 #[derive(Debug, Default)]
 pub struct Tracer {
@@ -543,18 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_counts_merges_totals() {
-        let mut a = Recorder::new(2);
-        let mut b = Recorder::new(2);
-        a.record(ev(0));
-        b.record(ev(1));
-        b.record(TraceEvent::CapacityIncrement { edges: 3 });
-        a.absorb_counts(&b);
-        assert_eq!(a.count(EventKind::Augment), 2);
-        assert_eq!(a.count(EventKind::CapacityIncrement), 1);
-    }
-
-    #[test]
     fn every_event_maps_to_its_kind() {
         let events = [
             TraceEvent::SolveStart { query_size: 1 },
@@ -579,10 +545,6 @@ mod tests {
             TraceEvent::DegradedServe {
                 served: 0,
                 dropped: 0,
-            },
-            TraceEvent::ShardBatch {
-                shard: 0,
-                queries: 0,
             },
             TraceEvent::DeltaPatch {
                 changed: 0,

@@ -42,7 +42,9 @@
 //! enforcement and fault probes all use the wall clock, so mid-flight
 //! health transitions trigger replanning.
 
-use crate::engine::{BatchQuery, DrainCtx, DrainItem, Drained, Engine, Lane, Shard, ShardTally};
+use crate::engine::{
+    BatchQuery, DrainCtx, DrainItem, Drained, Engine, EngineMetrics, EngineStats, Lane, Shard,
+};
 use crate::error::EngineError;
 use crate::obs::metrics::{Histogram, LatencySummary, MetricsRegistry};
 use crate::obs::recorder::{FlightRecorder, RecorderStats};
@@ -452,14 +454,9 @@ impl ShardQueue {
 struct AdmissionCounters {
     submitted: AtomicU64,
     admitted: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_deadline: AtomicU64,
-    rejected_shed: AtomicU64,
-    rejected_shutdown: AtomicU64,
     max_queue_depth: AtomicU64,
     /// Rejections by `[reason][class]`, indexed like [`RejectReason::ALL`]
-    /// × [`PriorityClass::ALL`] — the source of the labeled
-    /// `rds_serve_rejected_total{class,reason}` counter.
+    /// × [`PriorityClass::ALL`] — the one rejection count.
     rejected_by: [[AtomicU64; PriorityClass::COUNT]; RejectReason::COUNT],
 }
 
@@ -492,11 +489,11 @@ impl Shared {
         arrival: Micros,
     ) {
         self.counters.rejected_by[reason as usize][class as usize].fetch_add(1, Ordering::Relaxed);
-        let sub = self.counters.submitted.load(Ordering::Relaxed);
         let mut log = self.rejlog.lock().expect("rejection log mutex");
         let (recorder, slo) = &mut *log;
+        // A rejection never gets a ticket, so its span keeps id 0.
         let mut span = recorder.checkout();
-        span.id = SpanId(sub);
+        span.id = SpanId(0);
         span.stream = stream;
         span.shard = stream % self.queues.len();
         span.class = class as usize;
@@ -528,7 +525,6 @@ impl ServeHandle {
         let q = &s.queues[shard];
         let mut st = q.state.lock().expect("queue mutex");
         if !st.open {
-            s.counters.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
             let arrival = match s.clock.mode {
                 ServeClock::Virtual => req.arrival,
                 ServeClock::Real => s.clock.now(),
@@ -542,7 +538,6 @@ impl ServeHandle {
         };
         if let Some(deadline) = req.deadline {
             if deadline < arrival {
-                s.counters.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                 s.note_rejection(
                     RejectReason::DeadlineUnmeetable,
                     req.class,
@@ -557,14 +552,10 @@ impl ServeHandle {
         }
         let depth = st.items.len();
         if depth >= s.capacity {
-            s.counters
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
             s.note_rejection(RejectReason::QueueFull, req.class, req.stream, arrival);
             return Err(Rejected::QueueFull { shard, depth });
         }
         if req.class.sheddable() && s.shed_watermark.is_some_and(|w| depth >= w) {
-            s.counters.rejected_shed.fetch_add(1, Ordering::Relaxed);
             s.note_rejection(
                 RejectReason::ShedLowPriority,
                 req.class,
@@ -672,17 +663,12 @@ pub struct ServeStats {
     pub admitted: u64,
     /// Responses produced.
     pub completed: u64,
-    /// [`Rejected::QueueFull`] admissions.
-    pub rejected_queue_full: u64,
-    /// [`Rejected::DeadlineUnmeetable`] admissions.
-    pub rejected_deadline: u64,
-    /// [`Rejected::ShedLowPriority`] admissions.
-    pub rejected_shed: u64,
-    /// [`Rejected::ShuttingDown`] admissions.
-    pub rejected_shutdown: u64,
     /// Responses that resolved with an error.
     pub errors: u64,
-    /// Contained solver panics.
+    /// Solver panics (the engine's
+    /// [`EngineStats::shard_failures`](crate::engine::EngineStats::shard_failures)),
+    /// including tickets lost with a worker that died outside per-query
+    /// containment.
     pub panics: u64,
     /// Responses that finished past their deadline.
     pub deadline_misses: u64,
@@ -695,7 +681,7 @@ pub struct ServeStats {
     /// Solver work summed over every served request.
     pub solve_stats: SolveStats,
     /// Rejections by `[reason][class]`, indexed like [`RejectReason::ALL`]
-    /// × [`PriorityClass::ALL`].
+    /// × [`PriorityClass::ALL`]; see [`ServeStats::rejected_for`].
     pub rejected_by: [[u64; PriorityClass::COUNT]; RejectReason::COUNT],
     /// Error-budget burn report for the run's
     /// [`SloPolicy`](crate::obs::slo::SloPolicy) (responses and
@@ -707,12 +693,14 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Rejections for `reason`, summed over every class.
+    pub fn rejected_for(&self, reason: RejectReason) -> u64 {
+        self.rejected_by[reason as usize].iter().sum()
+    }
+
     /// Total rejections of any kind.
     pub fn rejected(&self) -> u64 {
-        self.rejected_queue_full
-            + self.rejected_deadline
-            + self.rejected_shed
-            + self.rejected_shutdown
+        self.rejected_by.iter().flatten().sum()
     }
 
     /// Fraction of submissions turned away by load shedding or a full
@@ -721,7 +709,9 @@ impl ServeStats {
         if self.submitted == 0 {
             return 0.0;
         }
-        (self.rejected_queue_full + self.rejected_shed) as f64 / self.submitted as f64
+        let shed = self.rejected_for(RejectReason::QueueFull)
+            + self.rejected_for(RejectReason::ShedLowPriority);
+        shed as f64 / self.submitted as f64
     }
 
     /// Responses per second of run wall time.
@@ -746,13 +736,6 @@ impl ServeStats {
         reg.inc_counter("rds_serve_submitted_total", self.submitted);
         reg.inc_counter("rds_serve_admitted_total", self.admitted);
         reg.inc_counter("rds_serve_completed_total", self.completed);
-        reg.inc_counter(
-            "rds_serve_rejected_queue_full_total",
-            self.rejected_queue_full,
-        );
-        reg.inc_counter("rds_serve_rejected_deadline_total", self.rejected_deadline);
-        reg.inc_counter("rds_serve_rejected_shed_total", self.rejected_shed);
-        reg.inc_counter("rds_serve_rejected_shutdown_total", self.rejected_shutdown);
         reg.inc_counter("rds_serve_errors_total", self.errors);
         reg.inc_counter("rds_serve_panics_total", self.panics);
         reg.inc_counter("rds_serve_deadline_misses_total", self.deadline_misses);
@@ -865,19 +848,31 @@ pub struct ServeReport<R> {
     pub unclaimed: Vec<ServeResponse>,
 }
 
-/// What one worker reports back from its serving loop (its engine-level
-/// [`ShardTally`] travels beside it).
+/// Every engine and serve fact one worker counted in its finish stage;
+/// the workers' tallies merge once per run into both [`ServeStats`] and
+/// the engine's stats.
 #[derive(Default)]
 struct WorkerTally {
     classes: [ClassServeStats; PriorityClass::COUNT],
-    completed: u64,
-    errors: u64,
-    panics: u64,
     deadline_misses: u64,
-    solve_stats: SolveStats,
-    /// Per-class SLO burn tracker (merged after the run; a dead worker's
-    /// default tracker merges as a no-op).
+    /// The engine's counters over this worker's responses: `queries`
+    /// counts responses, `shard_failures` contained panics.
+    engine: EngineStats,
+    metrics: EngineMetrics,
+    /// Per-class SLO burn tracker.
     slo: SloTrackerSet,
+}
+
+impl WorkerTally {
+    fn merge(&mut self, other: &WorkerTally) {
+        for (into, from) in self.classes.iter_mut().zip(&other.classes) {
+            into.merge(from);
+        }
+        self.deadline_misses += other.deadline_misses;
+        self.engine.merge(&other.engine);
+        self.metrics.merge(&other.metrics);
+        self.slo.merge(&other.slo);
+    }
 }
 
 impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
@@ -991,7 +986,6 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
                             slo: SloTrackerSet::new(shared_ref.slo),
                             ..WorkerTally::default()
                         },
-                        shard_tally: ShardTally::default(),
                     };
                     (shard, worker)
                 });
@@ -1025,77 +1019,71 @@ impl<'a, A: ReplicaSource + Sync, S: RetrievalSolver + Sync> Engine<'a, A, S> {
             .try_iter()
             .collect();
 
-        let c = &shared.counters;
-        let mut stats = ServeStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            rejected_queue_full: c.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_deadline: c.rejected_deadline.load(Ordering::Relaxed),
-            rejected_shed: c.rejected_shed.load(Ordering::Relaxed),
-            rejected_shutdown: c.rejected_shutdown.load(Ordering::Relaxed),
-            max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
-            elapsed: started.elapsed(),
-            ..ServeStats::default()
+        let mut total = WorkerTally {
+            slo: SloTrackerSet::new(self.spec.slo),
+            ..WorkerTally::default()
         };
-        for (r, row) in c.rejected_by.iter().enumerate() {
-            for (ci, cell) in row.iter().enumerate() {
-                stats.rejected_by[r][ci] = cell.load(Ordering::Relaxed);
-            }
-        }
-        let mut slo_all = SloTrackerSet::new(self.spec.slo);
         for (shard, tally) in self.shards.iter_mut().zip(tallies) {
-            let Some((tally, shard_tally)) = tally else {
-                // A dead worker's shard restarts with fresh stream states
-                // and a reclaimed workspace.
-                shard.states.clear();
-                let _ = shard.inline.workspace.take_poisoned();
-                continue;
-            };
-            stats.completed += tally.completed;
-            stats.errors += tally.errors;
-            stats.panics += tally.panics;
-            stats.deadline_misses += tally.deadline_misses;
-            stats.solve_stats.accumulate(&tally.solve_stats);
-            for (into, from) in stats.classes.iter_mut().zip(&tally.classes) {
-                into.merge(from);
+            match tally {
+                Some(tally) => total.merge(&tally),
+                None => {
+                    // A dead worker's shard restarts with fresh stream
+                    // states and a reclaimed workspace.
+                    shard.states.clear();
+                    let _ = shard.inline.workspace.take_poisoned();
+                }
             }
-            slo_all.merge(&tally.slo);
-            shard_tally.accumulate(&mut self.stats, &mut self.metrics);
         }
+        let c = &shared.counters;
+        let admitted = c.admitted.load(Ordering::Relaxed);
+        let completed = total.engine.queries;
+        let e = &mut total.engine;
+        // A worker that died outside per-query containment never resolved
+        // its tickets: each counts once, as a query lost to a panic.
+        let lost = admitted - completed;
+        e.queries += lost;
+        e.errors += lost;
+        e.shard_failures += lost;
+        e.batches = 1;
+        e.elapsed = started.elapsed();
         // Reclaim the rejection log: the recorder returns to the engine
         // (for `Engine::postmortem`), the rejection SLO tracker merges
         // into the run's report.
-        {
-            let (rej_recorder, rej_slo) =
-                std::mem::take(&mut *shared.rejlog.lock().expect("rejection log mutex"));
-            slo_all.merge(&rej_slo);
-            self.rejections = rej_recorder;
-        }
-        stats.slo = slo_all.report();
+        let (rej_recorder, rej_slo) =
+            std::mem::take(&mut *shared.rejlog.lock().expect("rejection log mutex"));
+        total.slo.merge(&rej_slo);
+        self.rejections = rej_recorder;
         let mut recorder = RecorderStats::default();
         for shard in &self.shards {
             recorder.merge(&shard.recorder.stats());
         }
         recorder.merge(&self.rejections.stats());
-        stats.recorder = recorder;
-        self.stats.batches += 1;
-        self.stats.queries += stats.completed;
-        self.stats.errors += stats.errors;
-        self.stats.elapsed += stats.elapsed;
-        self.stats.solve_stats.accumulate(&stats.solve_stats);
+        let stats = ServeStats {
+            submitted: c.submitted.load(Ordering::Relaxed),
+            admitted,
+            completed,
+            errors: total.engine.errors,
+            panics: total.engine.shard_failures,
+            deadline_misses: total.deadline_misses,
+            max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
+            elapsed: total.engine.elapsed,
+            classes: total.classes,
+            solve_stats: total.engine.solve_stats,
+            rejected_by: c
+                .rejected_by
+                .each_ref()
+                .map(|row| row.each_ref().map(|n| n.load(Ordering::Relaxed))),
+            slo: total.slo.report(),
+            recorder,
+        };
+        self.stats.merge(&total.engine);
         self.stats.workspace_solves = self
             .shards
             .iter()
             .flat_map(|s| std::iter::once(&s.inline).chain(&s.lanes))
             .map(|l| l.workspace.solves())
             .sum();
-        let mut reuse = crate::session::ReuseCounters::default();
-        for shard in &self.shards {
-            for state in shard.states.values() {
-                reuse.merge(&state.reuse_counters());
-            }
-        }
-        self.stats.reuse = reuse;
+        self.metrics.merge(&total.metrics);
 
         ServeReport {
             output,
@@ -1113,7 +1101,7 @@ fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + 
     ctx: &DrainCtx<'_, A, S>,
     config: &ServeConfig,
     mut w: Worker<'_>,
-) -> (WorkerTally, ShardTally) {
+) -> WorkerTally {
     let queue = &w.shared.queues[w.shard_idx];
     let mut batch: Vec<Admitted> = Vec::new();
     loop {
@@ -1121,7 +1109,7 @@ fn serve_worker<A: ReplicaSource + ?Sized + Sync, S: RetrievalSolver + ?Sized + 
             let mut st = queue.state.lock().expect("queue mutex");
             while st.items.is_empty() {
                 if !st.open {
-                    return (w.tally, w.shard_tally);
+                    return w.tally;
                 }
                 st = queue.cv.wait(st).expect("queue mutex");
             }
@@ -1163,7 +1151,6 @@ struct Worker<'s> {
     base_budget: SolveBudget,
     tx: mpsc::Sender<ServeResponse>,
     tally: WorkerTally,
-    shard_tally: ShardTally,
 }
 
 /// What the finish stage needs of an admitted request once it is solved.
@@ -1178,10 +1165,10 @@ struct Reply {
 }
 
 /// What one pool lane of a fused drain owns while it runs.
+#[derive(Default)]
 struct LaneWork {
     states: HashMap<usize, SessionState>,
     items: Vec<(usize, DrainItem<Reply>)>,
-    tally: ShardTally,
     out: Vec<(usize, Drained<Reply>)>,
 }
 
@@ -1195,10 +1182,10 @@ impl Worker<'_> {
     /// and two or more groups, each group runs serially on its own pool
     /// lane and the groups run concurrently as one
     /// [`WorkerPool::run_tasks`](rds_flow::parallel::WorkerPool::run_tasks)
-    /// batch; stream states, tallies and trace counts merge back in group
-    /// order, then every item finishes in drain order. Otherwise the
-    /// batch is a single lane run inline, each item prepared, solved and
-    /// finished in turn. Results are the same either way.
+    /// batch; stream states merge back in group order, then every item
+    /// finishes in drain order. Otherwise the batch is a single lane run
+    /// inline, each item prepared, solved and finished in turn. Results
+    /// are the same either way.
     fn drain<A, S>(
         &mut self,
         shard: &mut Shard,
@@ -1228,33 +1215,22 @@ impl Worker<'_> {
             _ => {
                 for item in batch.drain(..) {
                     let item = self.prepare(recorder, len, item);
-                    let done =
-                        inline.solve(self.shard_idx, ctx, states, item, &mut self.shard_tally);
+                    let done = inline.solve(self.shard_idx, ctx, states, item);
                     self.finish(recorder, done);
                 }
                 return;
             }
         };
 
-        self.shard_tally.fused_batches += 1;
-        self.shard_tally.fused_queries += len as u64;
-        // A pool lane gets a small private trace recorder when the shard
-        // has one, so per-kind counts stay exact (folded back below).
-        let record = inline.workspace.recorder().is_some();
+        self.tally.engine.fused_batches += 1;
+        self.tally.engine.fused_queries += len as u64;
         while lanes.len() < n {
             let mut lane = Lane::default();
             lane.workspace.set_arena_layout(ctx.spec.arena_layout);
             lane.workspace.set_plane_sharing(true);
             lanes.push(lane);
         }
-        let mut work: Vec<LaneWork> = (0..n)
-            .map(|_| LaneWork {
-                states: HashMap::new(),
-                items: Vec::new(),
-                tally: ShardTally::default(),
-                out: Vec::new(),
-            })
-            .collect();
+        let mut work: Vec<LaneWork> = (0..n).map(|_| LaneWork::default()).collect();
         for (pos, (item, g)) in batch.drain(..).zip(groups).enumerate() {
             let stream = item.req.stream;
             if let Some(state) = states.remove(&stream) {
@@ -1267,12 +1243,9 @@ impl Worker<'_> {
             .iter_mut()
             .zip(&mut work)
             .map(|(lane, w)| {
-                if record && lane.workspace.recorder().is_none() {
-                    lane.workspace.install_recorder(64);
-                }
                 Box::new(move || {
                     for (pos, item) in w.items.drain(..) {
-                        let done = lane.solve(shard_idx, ctx, &mut w.states, item, &mut w.tally);
+                        let done = lane.solve(shard_idx, ctx, &mut w.states, item);
                         w.out.push((pos, done));
                     }
                 }) as Box<dyn FnOnce() + Send + '_>
@@ -1281,18 +1254,8 @@ impl Worker<'_> {
         pool.run_tasks(tasks);
 
         let mut drained: Vec<Option<Drained<Reply>>> = (0..len).map(|_| None).collect();
-        for (lane, w) in lanes.iter_mut().zip(work) {
+        for w in work {
             states.extend(w.states);
-            self.shard_tally.merge(&w.tally);
-            // Ring contents stay per lane: cross-lane event order is
-            // undefined, only the per-kind totals are merged.
-            if let (Some(rec), Some(lane_rec)) = (
-                inline.workspace.recorder_mut(),
-                lane.workspace.recorder_mut(),
-            ) {
-                rec.absorb_counts(lane_rec);
-                lane_rec.clear();
-            }
             for (pos, done) in w.out {
                 drained[pos] = Some(done);
             }
@@ -1374,20 +1337,18 @@ impl Worker<'_> {
 
     /// The finish stage of one solved request: deadline and turnaround
     /// accounting, span retirement (the flight recorder decides
-    /// retention), SLO and stats accounting, and the exactly-once
-    /// response.
+    /// retention), the one count of every engine and serve fact, and the
+    /// exactly-once response.
     fn finish(&mut self, recorder: &mut FlightRecorder, done: Drained<Reply>) {
         let Drained {
             result,
             solve_us,
+            facts,
             span,
             tag: r,
         } = done;
         let (shared, tally) = (self.shared, &mut self.tally);
         let real = shared.clock.mode == ServeClock::Real;
-        if matches!(result, Err(EngineError::ShardFailed { .. })) {
-            tally.panics += 1;
-        }
         let deadline_missed = match (&result, r.deadline) {
             (Ok(_), Some(d)) if real => shared.clock.now() > d,
             (Ok(out), Some(d)) => out.completion > d,
@@ -1433,10 +1394,27 @@ impl Worker<'_> {
             cs.deadline_misses += 1;
             tally.deadline_misses += 1;
         }
-        tally.completed += 1;
+        let (engine, metrics) = (&mut tally.engine, &mut tally.metrics);
+        metrics.solve_latency_us.record(solve_us);
+        engine.queries += 1;
+        engine.retries += facts.retries;
+        engine.reuse.merge(&facts.reuse);
         match &result {
-            Ok(out) => tally.solve_stats.accumulate(&out.outcome.stats),
-            Err(_) => tally.errors += 1,
+            Ok(out) => {
+                engine.solve_stats.accumulate(&out.outcome.stats);
+                metrics.probes_per_solve.record(out.outcome.stats.probes);
+                metrics
+                    .turnaround_us
+                    .record((out.completion - out.arrival).as_micros());
+                if facts.degraded {
+                    engine.degraded_solves += 1;
+                    engine.dropped_buckets += out.unservable.len() as u64;
+                }
+            }
+            Err(e) => {
+                engine.errors += 1;
+                engine.shard_failures += u64::from(matches!(e, EngineError::ShardFailed { .. }));
+            }
         }
         // The receiver lives in the ServeHandle, which outlives the
         // scope, so a send failure is unreachable; ignoring it keeps the
@@ -1623,7 +1601,7 @@ mod tests {
                 assert_eq!(err, Rejected::ShuttingDown);
             },
         );
-        assert_eq!(report.stats.rejected_shutdown, 1);
+        assert_eq!(report.stats.rejected_for(RejectReason::ShuttingDown), 1);
         assert_eq!(report.stats.admitted, 0);
         assert_eq!(report.stats.completed, 0);
     }
@@ -1649,7 +1627,10 @@ mod tests {
                 }
             );
         });
-        assert_eq!(report.stats.rejected_deadline, 1);
+        assert_eq!(
+            report.stats.rejected_for(RejectReason::DeadlineUnmeetable),
+            1
+        );
     }
 
     #[test]
@@ -1669,10 +1650,36 @@ mod tests {
                     .unwrap();
             },
         );
-        assert_eq!(report.stats.rejected_shed, 1);
+        assert_eq!(report.stats.rejected_for(RejectReason::ShedLowPriority), 1);
         assert_eq!(report.stats.completed, 1);
         let interactive = &report.stats.classes[PriorityClass::Interactive as usize];
         assert_eq!(interactive.completed, 1);
+    }
+
+    /// Rejection spans never received a ticket, so none may carry an
+    /// admitted ticket's id: every one keeps id 0.
+    #[test]
+    fn rejection_spans_keep_id_zero() {
+        let (system, alloc) = setup();
+        let mut engine = Engine::builder(&system, &alloc).build();
+        let buckets = RangeQuery::new(0, 0, 2, 3).buckets(5);
+        // Real clock, one queue slot: floods outrun the worker, and
+        // claiming every admitted response between floods keeps tickets
+        // and rejections interleaved.
+        let report = engine.serve(ServeConfig::default().queue_capacity(1), |h| {
+            for _ in 0..5 {
+                let admitted = (0..20)
+                    .filter(|_| h.submit(QueryRequest::new(0, buckets.clone())).is_ok())
+                    .count();
+                for _ in 0..admitted {
+                    h.recv().expect("admitted ticket resolves");
+                }
+            }
+        });
+        assert!(report.stats.rejected_for(RejectReason::QueueFull) > 0);
+        let pm = engine.postmortem();
+        assert!(!pm.rejections.is_empty());
+        assert!(pm.rejections.iter().all(|s| s.id == SpanId(0)));
     }
 
     #[test]

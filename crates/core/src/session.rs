@@ -68,7 +68,7 @@ impl ReusePolicy {
 }
 
 /// Effectiveness counters for one stream's reuse machinery, surfaced
-/// aggregated by [`crate::engine::EngineStats`].
+/// accumulated over every solve by [`crate::engine::EngineStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReuseCounters {
     /// Submits answered straight from the schedule cache.
@@ -85,7 +85,7 @@ pub struct ReuseCounters {
 }
 
 impl ReuseCounters {
-    /// Adds `other` into `self` (engine aggregation across streams).
+    /// Adds `other` into `self` (engine aggregation across solves).
     pub fn merge(&mut self, other: &ReuseCounters) {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -274,6 +274,12 @@ impl SessionState {
     /// Reuse effectiveness counters accumulated so far.
     pub fn reuse_counters(&self) -> ReuseCounters {
         self.counters
+    }
+
+    /// Moves out the counters accumulated since the last take (the
+    /// engine folds them into its stats after every solve).
+    pub(crate) fn take_reuse_counters(&mut self) -> ReuseCounters {
+        std::mem::take(&mut self.counters)
     }
 
     /// Number of queries served so far.

@@ -224,6 +224,11 @@ fn serve_chaos_overload_and_outage_resolves_every_submission_deterministically()
             report.stats.admitted + report.stats.rejected(),
             report.stats.submitted
         );
+        let by_reason: u64 = RejectReason::ALL
+            .iter()
+            .map(|&r| report.stats.rejected_for(r))
+            .sum();
+        assert_eq!(by_reason, report.stats.rejected());
         assert_eq!(
             report.stats.completed, report.stats.admitted,
             "{shards} shards"
@@ -257,7 +262,7 @@ fn serve_chaos_overload_and_outage_resolves_every_submission_deterministically()
         assert!(by_ticket.is_empty(), "responses for unknown tickets");
         (
             digests,
-            report.stats.rejected_deadline,
+            report.stats.rejected_for(RejectReason::DeadlineUnmeetable),
             engine.stats().degraded_solves + engine.stats().dropped_buckets,
         )
     };
@@ -346,8 +351,15 @@ fn serve_overload_applies_queue_full_and_shed_backpressure() {
     );
     assert_eq!(report.stats.admitted, 3);
     assert_eq!(report.stats.completed, 3);
-    assert_eq!(report.stats.rejected_shed, 1);
-    assert_eq!(report.stats.rejected_queue_full, 1);
+    let stats = &report.stats;
+    assert_eq!(stats.rejected_for(RejectReason::ShedLowPriority), 1);
+    assert_eq!(stats.rejected_for(RejectReason::QueueFull), 1);
+    assert_eq!(stats.submitted, stats.admitted + stats.rejected());
+    let by_reason: u64 = RejectReason::ALL
+        .iter()
+        .map(|&r| stats.rejected_for(r))
+        .sum();
+    assert_eq!(by_reason, stats.rejected());
     assert!(report.stats.shed_rate() > 0.0);
     assert!(report.unclaimed.iter().all(|r| r.result.is_ok()));
 }

@@ -1,9 +1,10 @@
 //! Observability: trace events must reconcile exactly with the solver's
-//! own `SolveStats`, event counts must be invariant to the engine's shard
-//! count, and metrics snapshots must round-trip through both export
-//! formats.
+//! own `SolveStats`, the engine's counters must be invariant to its shard
+//! count and fuse setting, and metrics snapshots must round-trip through
+//! both export formats.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use replicated_retrieval::core::blackbox::{BlackBoxFordFulkerson, BlackBoxPushRelabel};
 use replicated_retrieval::core::ff::{FordFulkersonBasic, FordFulkersonIncremental};
@@ -190,59 +191,6 @@ fn chaos_batch() -> (SystemConfig, OrthogonalAllocation, Vec<BatchQuery>) {
     (system, alloc, queries)
 }
 
-/// Trace-event totals are a pure function of the batch, not of how the
-/// engine shards it — `ShardBatch` (one per shard per batch) is the only
-/// kind allowed to differ, and it differs exactly by the shard count.
-#[test]
-fn event_counts_are_identical_across_shard_counts() {
-    let (system, alloc, queries) = chaos_batch();
-    let injector = FaultInjector::random_outages(
-        42,
-        5,
-        0.4,
-        Micros::from_millis(3),
-        Some(Micros::from_millis(4)),
-    );
-    let run = |shards: usize| {
-        let mut engine = Engine::builder(&system, &alloc)
-            .shards(shards)
-            .fault_injector(injector.clone())
-            .retry_policy(RetryPolicy {
-                max_retries: 3,
-                backoff: Micros::from_millis(1),
-            })
-            .degraded_mode(true)
-            .tracing(1 << 12)
-            .build();
-        let _ = engine.submit_batch(&queries);
-        engine.trace_counts()
-    };
-    let baseline = run(1);
-    assert_eq!(baseline[EventKind::SolveStart as usize], {
-        let s = baseline[EventKind::SolveStart as usize];
-        assert!(
-            s >= queries.len() as u64,
-            "every query solves at least once"
-        );
-        s
-    });
-    assert_eq!(baseline[EventKind::ShardBatch as usize], 1);
-    for shards in [2usize, 3, 5] {
-        let got = run(shards);
-        for kind in EventKind::ALL {
-            if kind == EventKind::ShardBatch {
-                assert_eq!(got[kind as usize], shards as u64, "{shards} shards");
-            } else {
-                assert_eq!(
-                    got[kind as usize], baseline[kind as usize],
-                    "{:?} with {shards} shards",
-                    kind
-                );
-            }
-        }
-    }
-}
-
 /// Retry and degraded events reconcile with the engine's counters, and a
 /// health flip is observed exactly once per affected stream.
 #[test]
@@ -255,8 +203,9 @@ fn engine_fault_events_reconcile_with_stats() {
         Micros::from_millis(3),
         Some(Micros::from_millis(4)),
     );
+    // One shard drains on its inline lane, so its recorder sees every
+    // event of the batch.
     let mut engine = Engine::builder(&system, &alloc)
-        .shards(2)
         .fault_injector(injector)
         .retry_policy(RetryPolicy {
             max_retries: 3,
@@ -266,19 +215,19 @@ fn engine_fault_events_reconcile_with_stats() {
         .tracing(1 << 12)
         .build();
     let _ = engine.submit_batch(&queries);
-    let counts = engine.trace_counts();
+    let rec = engine
+        .shard_recorder(0)
+        .expect("tracing installs a recorder");
+    assert_eq!(rec.count(EventKind::RetryScheduled), engine.stats().retries);
     assert_eq!(
-        counts[EventKind::RetryScheduled as usize],
-        engine.stats().retries
-    );
-    assert_eq!(
-        counts[EventKind::DegradedServe as usize],
+        rec.count(EventKind::DegradedServe),
         engine.stats().degraded_solves
     );
     // The outage and the recovery are both health transitions; every
     // stream that submits across them sees each at most once.
-    assert!(counts[EventKind::HealthTransition as usize] > 0);
-    assert!(counts[EventKind::HealthTransition as usize] <= 2 * 7);
+    let transitions = rec.count(EventKind::HealthTransition);
+    assert!(transitions > 0);
+    assert!(transitions <= 2 * 7);
 }
 
 /// `metrics_snapshot()` exposes p50/p95/p99 and round-trips through both
@@ -314,10 +263,6 @@ fn metrics_snapshot_quantiles_and_round_trip() {
     assert_eq!(
         reg.histogram("rds_solve_latency_us").unwrap().count(),
         queries.len() as u64
-    );
-    assert_eq!(
-        reg.counter("rds_trace_solve_start_total"),
-        Some(snap.trace_counts[EventKind::SolveStart as usize])
     );
 
     // Acceptance criterion: Prometheus and JSON exports parse back into
@@ -381,8 +326,8 @@ fn reuse_batch() -> (SystemConfig, OrthogonalAllocation, Vec<BatchQuery>) {
 }
 
 /// A warm engine (delta solving + schedule cache) returns the same
-/// outcomes as a cold one, and its results, reuse counters and
-/// `CacheHit`/`DeltaPatch` event counts are invariant to the shard count.
+/// outcomes as a cold one, and its results and reuse counters are
+/// invariant to the shard count.
 #[test]
 fn warm_engine_reuse_is_shard_invariant() {
     let (system, alloc, queries) = reuse_batch();
@@ -395,7 +340,6 @@ fn warm_engine_reuse_is_shard_invariant() {
                 }),
             )
             .shards(shards)
-            .tracing(1 << 12)
             .build();
         let outcomes: Vec<(Micros, Micros)> = engine
             .submit_batch(&queries)
@@ -405,9 +349,9 @@ fn warm_engine_reuse_is_shard_invariant() {
                 (o.outcome.response_time, o.completion)
             })
             .collect();
-        (outcomes, engine.trace_counts(), engine.stats().reuse)
+        (outcomes, engine.stats().reuse)
     };
-    let (outcomes, counts, reuse) = run(1);
+    let (outcomes, reuse) = run(1);
     // Column cycle 0,1,0,2,1,0 per stream: three first-visits (miss),
     // three revisits (hit), and the two first-visits after a solve are
     // delta patches — times four streams.
@@ -415,22 +359,8 @@ fn warm_engine_reuse_is_shard_invariant() {
     assert_eq!(reuse.cache_misses, 12);
     assert_eq!(reuse.delta_patches, 8);
     assert_eq!(reuse.delta_fallbacks, 0);
-    assert_eq!(counts[EventKind::CacheHit as usize], reuse.cache_hits);
-    assert_eq!(counts[EventKind::DeltaPatch as usize], reuse.delta_patches);
     for shards in [2usize, 3, 4] {
-        let (o, c, r) = run(shards);
-        assert_eq!(o, outcomes, "{shards} shards");
-        assert_eq!(r, reuse, "{shards} shards");
-        for kind in [
-            EventKind::CacheHit,
-            EventKind::DeltaPatch,
-            EventKind::SolveStart,
-        ] {
-            assert_eq!(
-                c[kind as usize], counts[kind as usize],
-                "{kind:?}, {shards} shards"
-            );
-        }
+        assert_eq!(run(shards), (outcomes.clone(), reuse), "{shards} shards");
     }
     // A cold engine over the same batch agrees on every outcome and
     // reports zero reuse.
@@ -454,9 +384,76 @@ fn untraced_engine_has_histograms_but_no_events() {
     let (system, alloc, queries) = chaos_batch();
     let mut engine = Engine::builder(&system, &alloc).shards(2).build();
     let _ = engine.submit_batch(&queries);
-    assert_eq!(engine.trace_counts(), [0u64; EventKind::COUNT]);
     assert!(engine.shard_recorder(0).is_none());
     let snap = engine.metrics_snapshot();
     assert_eq!(snap.solve_latency_us.count, queries.len() as u64);
     assert!(snap.probes_per_solve.p99 > 0);
+}
+
+/// Every engine counter is a function of the queries alone, not of how
+/// the engine runs them: a chaos batch under faults plus a warm reuse
+/// batch give the same `EngineStats` at 1, 2 and 4 shards, fused or not.
+/// Only wall time and the fused-drain counts may differ.
+#[test]
+fn counters_are_invariant_across_shard_counts_and_fuse() {
+    let (system, alloc, chaos) = chaos_batch();
+    // Fresh streams for the reuse batch, after the chaos batch's.
+    let (_, _, mut reuse) = reuse_batch();
+    for q in &mut reuse {
+        q.stream += 7;
+    }
+    let injector = FaultInjector::random_outages(
+        42,
+        5,
+        0.4,
+        Micros::from_millis(3),
+        Some(Micros::from_millis(4)),
+    );
+    let run = |shards: usize, fuse: bool| {
+        let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+            .reuse(ReusePolicy {
+                warm_start: true,
+                cache_capacity: 4,
+            })
+            .batch_fuse(fuse)
+            .parallelism(2);
+        let mut engine = Engine::builder(&system, &alloc)
+            .solver_spec(spec)
+            .shards(shards)
+            .fault_injector(injector.clone())
+            .retry_policy(RetryPolicy {
+                max_retries: 1,
+                backoff: Micros::from_millis(1),
+            })
+            .degraded_mode(true)
+            .build();
+        let _ = engine.submit_batch(&chaos);
+        let _ = engine.submit_batch(&reuse);
+        let mut stats = *engine.stats();
+        if fuse && shards < 4 {
+            assert!(
+                stats.fused_batches > 0,
+                "{shards} shards: fused drain engaged"
+            );
+        }
+        stats.elapsed = Duration::ZERO;
+        stats.fused_batches = 0;
+        stats.fused_queries = 0;
+        stats
+    };
+    let baseline = run(1, false);
+    assert_eq!(baseline.queries, (chaos.len() + reuse.len()) as u64);
+    assert_eq!(baseline.batches, 2);
+    assert!(baseline.retries > 0, "the outage forced replanning");
+    assert!(
+        baseline.degraded_solves > 0,
+        "the outage forced degraded serves"
+    );
+    assert!(
+        baseline.reuse.cache_hits >= 12,
+        "the reuse batch hit the cache"
+    );
+    for (shards, fuse) in [(2, false), (4, false), (1, true), (2, true), (4, true)] {
+        assert_eq!(run(shards, fuse), baseline, "{shards} shards, fuse={fuse}");
+    }
 }

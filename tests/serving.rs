@@ -72,7 +72,7 @@ fn shutdown_races_never_lose_or_duplicate_a_ticket() {
 
         let admitted = report.stats.admitted;
         assert_eq!(
-            admitted + report.stats.rejected_shutdown,
+            admitted + report.stats.rejected_for(RejectReason::ShuttingDown),
             (PRODUCERS * PER_PRODUCER) as u64,
             "iteration {iteration}: submissions must split between admitted and ShuttingDown"
         );
@@ -134,7 +134,7 @@ fn drain_serves_the_backlog_admitted_before_shutdown() {
             report.stats.completed, 40,
             "{shards} shards: backlog drained"
         );
-        assert_eq!(report.stats.rejected_shutdown, 10);
+        assert_eq!(report.stats.rejected_for(RejectReason::ShuttingDown), 10);
         assert!(report.unclaimed.iter().all(|r| r.result.is_ok()));
     }
 }
