@@ -3,16 +3,16 @@
 //! The paper parallelizes the push/relabel operations inside Algorithm 6
 //! using the lock-free asynchronous method of Hong & He (TPDS 2011); the
 //! driver — binary capacity scaling, flow conservation, final incremental
-//! phase — is unchanged. Accordingly, this solver reuses
-//! `crate::pr`'s shared binary-scaling driver with the multithreaded
-//! [`rds_flow::parallel::ParallelPushRelabel`] engine.
+//! phase — is unchanged. Accordingly, this solver runs `crate::pr`'s
+//! Algorithm 6 front-end; only the engine it resumes differs: the
+//! multithreaded [`rds_flow::parallel::ParallelPushRelabel`].
 
 use crate::error::SolveError;
 use crate::network::RetrievalInstance;
-use crate::pr::{binary_scaling_integrated, outcome_with_budget, warm_integrated};
-use crate::schedule::{RetrievalOutcome, SolveStats};
+use crate::pr::{solve_integrated, Integrated};
+use crate::schedule::RetrievalOutcome;
 use crate::solver::RetrievalSolver;
-use crate::workspace::{on_graph, ArmedBudget, Workspace};
+use crate::workspace::Workspace;
 
 /// Multithreaded Algorithm 6 (the paper evaluates 2 threads).
 #[derive(Clone, Copy, Debug)]
@@ -46,29 +46,14 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
-        ws.ensure_parallel(self.threads, inst.graph.num_vertices());
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            let (_, engine) = ws.parallel.as_mut().expect("parallel engine cached");
-            match binary_scaling_integrated(
-                engine,
-                inst,
-                &mut *g,
-                &mut stats,
-                &mut ws.stored_flows,
-                &mut ws.stored_excess,
-                &mut ws.tracer,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, &*g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        solve_integrated(
+            self.name(),
+            Integrated::Binary,
+            false,
+            inst,
+            ws,
+            Some(self.threads),
+        )
     }
 
     fn supports_delta(&self) -> bool {
@@ -80,33 +65,14 @@ impl RetrievalSolver for ParallelPushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), true);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        let mut stats = SolveStats::default();
-        if !ws.begin_warm_parallel(inst, self.threads)? {
-            return Err(SolveError::DeltaUnsupported {
-                solver: self.name(),
-            });
-        }
-        let result = on_graph!(ws, |g| {
-            let (_, engine) = ws.parallel.as_mut().expect("parallel engine cached");
-            match warm_integrated(
-                engine,
-                inst,
-                &mut *g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &ws.warm_changed,
-                &mut ws.tracer,
-                true,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, &*g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        solve_integrated(
+            self.name(),
+            Integrated::Binary,
+            true,
+            inst,
+            ws,
+            Some(self.threads),
+        )
     }
 }
 

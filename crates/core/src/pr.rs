@@ -9,9 +9,9 @@
 //!   the flow state of failed probes, restoring it after successful ones);
 //!   then the incremental phase of Algorithm 5 finds the exact optimum.
 //!
-//! The `binary_scaling_integrated` driver is generic over any
-//! [`IncrementalMaxFlow`] engine, so the sequential and the parallel
-//! (Section V) solvers share one implementation.
+//! Every front-end, the parallel (Section V) one included, runs one solve
+//! body, `solve_integrated`, generic over the [`IncrementalMaxFlow`]
+//! engine it resumes.
 
 use crate::error::SolveError;
 use crate::increment::MinCostIncrementer;
@@ -39,26 +39,7 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match incremental_phase(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.tracer,
-                budget,
-                None,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        solve_integrated(self.name(), Integrated::Incremental, false, inst, ws, None)
     }
 
     fn supports_delta(&self) -> bool {
@@ -70,32 +51,7 @@ impl RetrievalSolver for PushRelabelIncremental {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), true);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst)? {
-            return Err(SolveError::DeltaUnsupported {
-                solver: self.name(),
-            });
-        }
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match warm_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &ws.warm_changed,
-                &mut ws.tracer,
-                false,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        solve_integrated(self.name(), Integrated::Incremental, true, inst, ws, None)
     }
 }
 
@@ -114,27 +70,7 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), false);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        ws.begin(inst)?;
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match binary_scaling_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_flows,
-                &mut ws.stored_excess,
-                &mut ws.tracer,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
+        solve_integrated(self.name(), Integrated::Binary, false, inst, ws, None)
     }
 
     fn supports_delta(&self) -> bool {
@@ -146,32 +82,103 @@ impl RetrievalSolver for PushRelabelBinary {
         inst: &RetrievalInstance,
         ws: &mut Workspace,
     ) -> Result<RetrievalOutcome, SolveError> {
-        ws.tracer.note_solver(self.name(), true);
-        let budget = ArmedBudget::start(ws.armed_budget());
-        if !ws.begin_warm(inst)? {
-            return Err(SolveError::DeltaUnsupported {
-                solver: self.name(),
-            });
+        solve_integrated(self.name(), Integrated::Binary, true, inst, ws, None)
+    }
+}
+
+/// Which integrated algorithm a push-relabel front-end runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Integrated {
+    /// Algorithm 5: the incremental phase alone.
+    Incremental,
+    /// Algorithm 6: binary capacity scaling, then the incremental phase.
+    Binary,
+}
+
+/// The one solve body of the push-relabel integrated solvers, sequential
+/// and parallel (paper Algorithms 5 and 6, Section V): stages `inst` cold,
+/// or from the staged warm flow when `warm`, then runs `alg` on the
+/// workspace's sequential engine, or with `parallel` threads on its
+/// cached parallel engine, after loading the warm excesses into it.
+pub(crate) fn solve_integrated(
+    solver: &'static str,
+    alg: Integrated,
+    warm: bool,
+    inst: &RetrievalInstance,
+    ws: &mut Workspace,
+    parallel: Option<usize>,
+) -> Result<RetrievalOutcome, SolveError> {
+    ws.tracer.note_solver(solver, warm);
+    let budget = ArmedBudget::start(ws.armed_budget());
+    if !warm {
+        ws.begin(inst)?;
+    } else if !ws.begin_warm(inst)? {
+        return Err(SolveError::DeltaUnsupported { solver });
+    }
+    if let Some(threads) = parallel {
+        ws.ensure_parallel(threads, inst.graph.num_vertices());
+    }
+    let mut stats = SolveStats::default();
+    // Expands once per engine (and, through `on_graph!`, per arena width),
+    // so every resume is statically dispatched.
+    macro_rules! run_on {
+        ($engine:expr) => {
+            on_graph!(ws, |g| {
+                let engine = $engine;
+                let run = if warm {
+                    load_excess(engine, g, &ws.warm_excess);
+                    warm_integrated(
+                        engine,
+                        inst,
+                        g,
+                        &mut stats,
+                        &mut ws.stored_excess,
+                        &ws.warm_changed,
+                        &mut ws.tracer,
+                        alg == Integrated::Binary,
+                        budget,
+                    )
+                } else if alg == Integrated::Binary {
+                    binary_scaling_integrated(
+                        engine,
+                        inst,
+                        g,
+                        &mut stats,
+                        &mut ws.stored_flows,
+                        &mut ws.stored_excess,
+                        &mut ws.tracer,
+                        budget,
+                    )
+                } else {
+                    incremental_phase(engine, inst, g, &mut stats, &mut ws.tracer, budget, None)
+                };
+                match run {
+                    Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
+                    Err(e) => Err(e),
+                }
+            })
+        };
+    }
+    let result = match parallel {
+        None => run_on!(&mut ws.engine),
+        Some(_) => run_on!(&mut ws.parallel.as_mut().expect("parallel engine cached").1),
+    };
+    ws.complete();
+    result
+}
+
+/// Replaces `engine`'s excesses with the staged warm excesses of `g`'s
+/// vertices.
+fn load_excess<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
+    engine: &mut E,
+    g: &FlowGraph<W>,
+    excess: &[i64],
+) {
+    engine.reset_excess(g.num_vertices());
+    for (v, &x) in excess.iter().enumerate() {
+        if x != 0 {
+            engine.set_excess(v, x);
         }
-        let mut stats = SolveStats::default();
-        let result = on_graph!(ws, |g| {
-            match warm_integrated(
-                &mut ws.engine,
-                inst,
-                g,
-                &mut stats,
-                &mut ws.stored_excess,
-                &ws.warm_changed,
-                &mut ws.tracer,
-                true,
-                budget,
-            ) {
-                Ok(bailed) => outcome_with_budget(inst, g, stats, bailed, &mut ws.tracer),
-                Err(e) => Err(e),
-            }
-        });
-        ws.complete();
-        result
     }
 }
 
@@ -219,7 +226,7 @@ pub(crate) fn budget_work(stats: &SolveStats) -> u64 {
 /// `t* ≤ t_max` — so the live preflow stays valid. Returns
 /// `Ok(Some(lower_bound))` for such a bail-out, `Ok(None)` for a run to
 /// the exact optimum.
-pub(crate) fn incremental_phase<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
+fn incremental_phase<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
     engine: &mut E,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
@@ -298,7 +305,7 @@ fn resume_traced<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 /// state; passing them in (from a [`Workspace`]) makes the per-probe
 /// snapshots allocation-free.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
+fn binary_scaling_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
     engine: &mut E,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,
@@ -437,7 +444,7 @@ fn retarget_caps<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
 /// 5: skip the probes and run the incremental phase from the
 /// min-cost-prefix capacities at `t_min`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
+fn warm_integrated<W: ArenaIndex, E: IncrementalMaxFlow<W>>(
     engine: &mut E,
     inst: &RetrievalInstance,
     g: &mut FlowGraph<W>,

@@ -608,14 +608,11 @@ impl ServeHandle {
         self.shared.clock.now()
     }
 
-    /// Current depth of `shard`'s queue.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        self.shared.queues[shard]
-            .state
-            .lock()
-            .expect("queue mutex")
-            .items
-            .len()
+    /// Current depth of `shard`'s queue, or `None` for a shard the
+    /// engine does not have.
+    pub fn queue_depth(&self, shard: usize) -> Option<usize> {
+        let queue = self.shared.queues.get(shard)?;
+        Some(queue.state.lock().expect("queue mutex").items.len())
     }
 
     /// Closes admission on every queue; workers drain what was already
@@ -1631,6 +1628,18 @@ mod tests {
             report.stats.rejected_for(RejectReason::DeadlineUnmeetable),
             1
         );
+    }
+
+    #[test]
+    fn queue_depth_of_an_unknown_shard_is_none() {
+        let (system, alloc) = setup();
+        let mut engine = Engine::builder(&system, &alloc).shards(2).build();
+        engine.serve(ServeConfig::default().virtual_time(), |h| {
+            assert!(h.queue_depth(0).is_some());
+            assert!(h.queue_depth(1).is_some());
+            assert_eq!(h.queue_depth(2), None);
+            assert_eq!(h.queue_depth(usize::MAX), None);
+        });
     }
 
     #[test]

@@ -545,11 +545,12 @@ impl Workspace {
 
     /// Warm counterpart of [`Workspace::begin`]: copies the (patched)
     /// instance network, then loads the staged warm flow into the scratch
-    /// graph and the staged excesses into the sequential engine. Returns
-    /// `Ok(false)` — leaving the workspace untouched — when no warm state
-    /// is staged, and [`SolveError::ArenaOverflow`] when the stream no
-    /// longer fits a forced compact arena (warm state is dropped; the
-    /// caller decides whether to re-solve cold).
+    /// graph; the caller loads the staged excesses (`warm_excess`) into
+    /// the engine it resumes. Returns `Ok(false)` — leaving the workspace
+    /// untouched — when no warm state is staged, and
+    /// [`SolveError::ArenaOverflow`] when the stream no longer fits a
+    /// forced compact arena (warm state is dropped; the caller decides
+    /// whether to re-solve cold).
     pub(crate) fn begin_warm(&mut self, inst: &RetrievalInstance) -> Result<bool, SolveError> {
         if !self.warm_staged {
             return Ok(false);
@@ -557,21 +558,14 @@ impl Workspace {
         self.warm_staged = false;
         self.solves += 1;
         self.poisoned = true;
-        if let Err(e) = self.stage_graph(inst) {
-            self.poisoned = false;
-            return Err(e);
-        }
         // The patch may have appended fresh replica arcs; they carry no
         // warm flow.
-        if let Err(e) = self.restore_warm_flows() {
+        if let Err(e) = self
+            .stage_graph(inst)
+            .and_then(|()| self.restore_warm_flows())
+        {
             self.poisoned = false;
             return Err(e);
-        }
-        self.engine.reset_excess(inst.graph.num_vertices());
-        for (v, &x) in self.warm_excess.iter().enumerate() {
-            if x != 0 {
-                self.engine.set_excess(v, x);
-            }
         }
         self.tracer.emit(TraceEvent::SolveStart {
             query_size: inst.query_size() as u32,
@@ -580,10 +574,9 @@ impl Workspace {
     }
 
     /// Readies the cached parallel engine for a solve over `vertices`
-    /// vertices with `threads` workers: (dis)connects it from the
-    /// previous solve (excess zeroed, topology snapshot invalidated) and
-    /// attaches the shared worker pool when one matching the thread
-    /// count is installed. Callers then split-borrow
+    /// vertices with `threads` workers: zeroes the excess left by the
+    /// previous solve and attaches the shared worker pool when one
+    /// matching the thread count is installed. Callers then split-borrow
     /// [`Workspace::parallel`] next to the active graph via [`on_graph!`].
     pub(crate) fn ensure_parallel(&mut self, threads: usize, vertices: usize) {
         let rebuild = match &self.parallel {
@@ -600,42 +593,7 @@ impl Workspace {
             self.parallel = Some((threads, engine));
         }
         let (_, engine) = self.parallel.as_mut().expect("parallel engine cached");
-        engine.invalidate_topology();
         engine.reset_excess(vertices);
-    }
-
-    /// Warm counterpart of [`Workspace::ensure_parallel`]: like
-    /// [`Workspace::begin_warm`], but the staged excesses are loaded into
-    /// the cached parallel engine instead of the sequential one.
-    pub(crate) fn begin_warm_parallel(
-        &mut self,
-        inst: &RetrievalInstance,
-        threads: usize,
-    ) -> Result<bool, SolveError> {
-        if !self.warm_staged {
-            return Ok(false);
-        }
-        self.warm_staged = false;
-        self.solves += 1;
-        self.poisoned = true;
-        if let Err(e) = self
-            .stage_graph(inst)
-            .and_then(|()| self.restore_warm_flows())
-        {
-            self.poisoned = false;
-            return Err(e);
-        }
-        self.tracer.emit(TraceEvent::SolveStart {
-            query_size: inst.query_size() as u32,
-        });
-        self.ensure_parallel(threads, inst.graph.num_vertices());
-        let (_, engine) = self.parallel.as_mut().expect("parallel engine cached");
-        for (v, &x) in self.warm_excess.iter().enumerate() {
-            if x != 0 {
-                engine.set_excess(v, x);
-            }
-        }
-        Ok(true)
     }
 }
 

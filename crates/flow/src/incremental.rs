@@ -236,6 +236,10 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for crate::push_relabel::PushRelabel {
     fn op_counts(&self) -> (u64, u64) {
         (self.stats.pushes, self.stats.relabels)
     }
+
+    fn reset_excess(&mut self, n: usize) {
+        crate::push_relabel::PushRelabel::reset_excess(self, n)
+    }
 }
 
 #[cfg(test)]

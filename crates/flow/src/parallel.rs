@@ -30,39 +30,43 @@
 //! `queued` CAS, so stealing changes only *which* thread discharges a
 //! vertex, never whether it is discharged twice.
 //!
-//! # Shared pool
+//! # Rounds on a shared pool
 //!
-//! The integrated retrieval driver (paper Algorithm 6) calls `resume` dozens
-//! of times per query, so worker threads live in a [`WorkerPool`] that is
-//! created **once per engine** and shared (it is cheaply cloneable) across
-//! every shard and solve; the dispatch handshake uses a mutex/condvar, but
-//! the push/relabel hot path remains lock-free as in the paper.
+//! A run alternates a global relabel with a round of lock-free
+//! discharging over the graph's own CSR arrays, borrowed for the run. A
+//! round is one [`WorkerPool::run_tasks`] batch of `threads` closures —
+//! closure `id` runs worker `id`, and the calling thread claims one like
+//! any pool thread; one worker runs inline and spawns no thread. The
+//! integrated retrieval driver (paper Algorithm 6) calls `resume` dozens
+//! of times per query, so the pool is created **once per engine** and
+//! shared across every shard and solve; the dispatch handshake uses a
+//! mutex/condvar, but the push/relabel hot path remains lock-free as in
+//! the paper.
 //!
-//! After the workers drain the rings, any excess stranded by the safety
-//! height bound is cleared by a sequential fixup pass; on converged runs the
-//! fixup performs no pushes, so the parallel phase carries all the work.
+//! Excess stranded at the phase-1 height bound when the rounds end is
+//! returned to the source by cancelling the flow that carried it in. A
+//! sequential push-relabel pass runs only if a round makes no progress,
+//! which a correct run never does.
 
 use crate::graph::{ArenaIndex, EdgeId, FlowGraph, VertexId};
 use crate::incremental::IncrementalMaxFlow;
 use crate::mpmc::BoundedQueue;
 use crate::push_relabel::PushRelabel;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Multithreaded push-relabel solver with the same incremental (`resume`)
 /// interface as the sequential [`PushRelabel`].
 ///
-/// One engine instance assumes a stable graph *topology* across its
-/// `resume` calls (capacities and flows may change freely) — exactly the
-/// usage pattern of the binary capacity-scaling driver.
+/// Every run reads the topology straight from the graph it is handed, so
+/// one engine may solve any sequence of graphs; capacities and flows may
+/// change freely between `resume` calls.
 #[derive(Debug)]
 pub struct ParallelPushRelabel {
     /// Number of worker threads (the paper evaluates 2).
     pub threads: usize,
     excess: Vec<i64>,
     fixup: PushRelabel,
-    topo: Option<Arc<Topology>>,
     pool: Option<WorkerPool>,
     /// Statistics from the most recent run.
     pub last_run: ParallelRunStats,
@@ -71,14 +75,6 @@ pub struct ParallelPushRelabel {
     total_pushes: u64,
     /// Relabels across all runs.
     total_relabels: u64,
-    /// Plain scratch for the single-worker fast path (see
-    /// [`ParallelPushRelabel::run_single`]): heights, queued flags, the
-    /// work ring, and the global-relabel BFS queue. Kept on the solver so
-    /// repeated `resume` calls are allocation-free.
-    seq_height: Vec<u32>,
-    seq_queued: Vec<bool>,
-    seq_ring: VecDeque<u32>,
-    seq_bfs: Vec<u32>,
 }
 
 /// Telemetry from one parallel run.
@@ -96,46 +92,19 @@ pub struct ParallelRunStats {
     pub steals: u64,
 }
 
-/// Immutable CSR snapshot of the graph topology, shared with the workers.
-///
-/// Every field is `u32`-indexed regardless of the arena's capacity width,
-/// so one snapshot type serves both layouts.
+/// Shared state of one run, on the dispatching thread's stack. The
+/// topology is the graph's own CSR arena, borrowed for the run;
+/// push/relabel operations touch only the atomic fields — no locks.
+/// Flows, capacities and excesses are held as `i64` regardless of the
+/// arena's width: both widths widen losslessly, and one atomic layout
+/// keeps the worker loop monomorphic.
 #[derive(Debug)]
-struct Topology {
-    /// `adj[adj_start[v]..adj_start[v+1]]` are the edge slots out of `v`.
-    adj_start: Vec<u32>,
-    adj: Vec<u32>,
+struct JobState<'g> {
+    /// `adj[adj_start[v]..adj_start[v + 1]]` are the edge slots out of `v`.
+    adj_start: &'g [u32],
+    adj: &'g [u32],
     /// Target vertex per edge slot.
-    head: Vec<u32>,
-    num_vertices: usize,
-}
-
-impl Topology {
-    /// Snapshots the graph's CSR arrays directly — three flat memcpys, no
-    /// per-vertex walk. The workers then traverse the same layout the
-    /// sequential engines do.
-    fn from_graph<W: ArenaIndex>(g: &FlowGraph<W>) -> Topology {
-        Topology {
-            adj_start: g.csr_index().to_vec(),
-            adj: g.csr_list().to_vec(),
-            head: g.heads().to_vec(),
-            num_vertices: g.num_vertices(),
-        }
-    }
-
-    #[inline]
-    fn out_edges(&self, v: usize) -> &[u32] {
-        &self.adj[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
-    }
-}
-
-/// Per-round shared state. Push/relabel operations touch only the atomic
-/// fields — no locks. Flows, capacities and excesses are held as `i64`
-/// regardless of the source arena's width: both widths widen losslessly,
-/// and one atomic layout keeps the worker loop monomorphic.
-#[derive(Debug)]
-struct JobState {
-    topo: Arc<Topology>,
+    head: &'g [u32],
     caps: Vec<i64>,
     flow: Vec<AtomicI64>,
     excess: Vec<AtomicI64>,
@@ -146,6 +115,10 @@ struct JobState {
     queues: Vec<BoundedQueue>,
     /// Vertices queued or currently being discharged. Zero means quiescent.
     active: AtomicUsize,
+    /// Set when a worker unwinds mid-round. Its vertex stays counted in
+    /// `active`, so idle peers stop on this flag instead of waiting for a
+    /// quiescence that never comes.
+    aborted: AtomicBool,
     pushes: AtomicUsize,
     relabels: AtomicUsize,
     steals: AtomicUsize,
@@ -157,7 +130,46 @@ struct JobState {
     relabel_limit: AtomicUsize,
 }
 
-impl JobState {
+impl<'g> JobState<'g> {
+    /// Borrows `g`'s CSR arrays (the graph must be finalized) and copies
+    /// its capacities and flows, plus `excess`, into the shared state.
+    fn new<W: ArenaIndex>(
+        g: &'g FlowGraph<W>,
+        excess: &[i64],
+        workers: usize,
+        s: VertexId,
+        t: VertexId,
+    ) -> JobState<'g> {
+        let (n, slots) = (g.num_vertices(), g.num_edge_slots());
+        JobState {
+            adj_start: g.csr_index(),
+            adj: g.csr_list(),
+            head: g.heads(),
+            caps: (0..slots).map(|e| g.cap(e)).collect(),
+            flow: (0..slots).map(|e| AtomicI64::new(g.flow(e))).collect(),
+            excess: excess[..n].iter().map(|&x| AtomicI64::new(x)).collect(),
+            height: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            queued: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            queues: (0..workers)
+                .map(|_| BoundedQueue::with_capacity(n))
+                .collect(),
+            active: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            pushes: AtomicUsize::new(0),
+            relabels: AtomicUsize::new(0),
+            steals: AtomicUsize::new(0),
+            s,
+            t,
+            height_cap: n as u32,
+            relabel_limit: AtomicUsize::new(0),
+        }
+    }
+
+    #[inline]
+    fn out_edges(&self, v: usize) -> &'g [u32] {
+        &self.adj[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
+    }
+
     #[inline]
     fn residual(&self, e: EdgeId) -> i64 {
         self.caps[e] - self.flow[e].load(Ordering::SeqCst)
@@ -228,16 +240,16 @@ impl JobState {
             // Height first: the height array is far smaller than cap/flow,
             // so the short-circuit skips most of the scattered residual
             // loads. Stale heights are already tolerated (Hong & He).
-            for &e in self.topo.out_edges(v) {
+            for &e in self.out_edges(v) {
                 let e = e as EdgeId;
-                let h = self.height[self.topo.head[e] as usize].load(Ordering::SeqCst);
+                let h = self.height[self.head[e] as usize].load(Ordering::SeqCst);
                 if h < best_h && self.residual(e) > 0 {
                     best_h = h;
                     best_edge = e;
                 }
             }
             if best_edge == usize::MAX {
-                break; // no residual edge: stranded (fixup will handle)
+                break; // no residual edge: stranded (drained after the rounds)
             }
             let hv = self.height[v].load(Ordering::SeqCst);
             if hv > best_h {
@@ -246,7 +258,7 @@ impl JobState {
                 if delta <= 0 {
                     continue; // residual consumed concurrently; rescan
                 }
-                let w = self.topo.head[best_edge] as usize;
+                let w = self.head[best_edge] as usize;
                 self.flow[best_edge].fetch_add(delta, Ordering::SeqCst);
                 self.flow[best_edge ^ 1].fetch_sub(delta, Ordering::SeqCst);
                 self.excess[v].fetch_sub(delta, Ordering::SeqCst);
@@ -273,9 +285,22 @@ impl JobState {
     }
 }
 
+/// Flags the round aborted when the worker holding it unwinds.
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
 /// The lock-free worker loop for worker `id`: pop (own ring, then steal),
-/// discharge, re-check, repeat until the whole job is quiescent.
-fn worker_loop(job: &JobState, id: usize) {
+/// discharge, re-check, repeat until the whole job is quiescent (or a
+/// peer panicked).
+fn worker_loop(job: &JobState<'_>, id: usize) {
+    let _abort = AbortOnUnwind(&job.aborted);
     loop {
         match job.pop_for(id) {
             Some(v) => {
@@ -294,7 +319,7 @@ fn worker_loop(job: &JobState, id: usize) {
                 job.active.fetch_sub(1, Ordering::SeqCst);
             }
             None => {
-                if job.active.load(Ordering::SeqCst) == 0 {
+                if job.active.load(Ordering::SeqCst) == 0 || job.aborted.load(Ordering::SeqCst) {
                     break;
                 }
                 std::hint::spin_loop();
@@ -315,11 +340,11 @@ fn worker_loop(job: &JobState, id: usize) {
 /// positive. The workers are parked while this runs, so plain stores into
 /// the atomics are race-free.
 #[allow(clippy::needless_range_loop)] // the loop indexes four parallel arrays
-fn global_relabel(job: &JobState) -> usize {
-    let n = job.topo.num_vertices;
-    // Same shortcut as the single-worker path: no excess anywhere means
-    // the BFS must count zero, and the heights it would write are never
-    // observed after the round loop exits.
+fn global_relabel(job: &JobState<'_>) -> usize {
+    let n = job.height.len();
+    // No excess anywhere means the BFS must count zero, and the heights
+    // it would write are never observed after the round loop exits, so
+    // the BFS is skipped.
     if !(0..n).any(|v| v != job.s && v != job.t && job.excess[v].load(Ordering::SeqCst) > 0) {
         return 0;
     }
@@ -334,9 +359,9 @@ fn global_relabel(job: &JobState) -> usize {
         let w = queue[head] as usize;
         head += 1;
         let dw = height[w];
-        for &e in job.topo.out_edges(w) {
+        for &e in job.out_edges(w) {
             let e = e as EdgeId;
-            let u = job.topo.head[e] as usize;
+            let u = job.head[e] as usize;
             if height[u] == UNSEEN && job.residual(e ^ 1) > 0 && u != job.s {
                 height[u] = dw + 1;
                 queue.push(u as u32);
@@ -460,27 +485,16 @@ impl TaskBatch {
     }
 }
 
-/// What a dispatch hands the parked workers: a lock-free push/relabel
-/// round, or a batch of independent closures (fused multi-query solves).
-#[derive(Clone, Debug)]
-enum PoolJob {
-    Flow(Arc<JobState>),
-    Batch(Arc<TaskBatch>),
-}
-
-/// Persistent worker threads, parked between jobs.
+/// Persistent worker threads, parked between task batches.
 ///
 /// The pool is cheaply cloneable — clones share the same threads — so one
 /// pool created at engine build time serves every shard and every solve
 /// for the engine's lifetime: no per-solve (or per-shard) thread spawns.
-/// Jobs from concurrent callers are serialized by a dispatch lock; the
-/// push/relabel work itself happens lock-free in the worker loop, each
-/// worker keeping a stable id for the work-stealing ring layout.
-///
-/// Besides push/relabel rounds the same threads also execute closure
-/// batches ([`WorkerPool::run_tasks`]) — the fused batch-solve path
-/// schedules whole independent solves across the pool instead of
-/// parallelizing inside one solve.
+/// Its one job kind is a batch of closures ([`WorkerPool::run_tasks`]):
+/// the fused batch-solve path schedules whole independent solves as
+/// tasks, and a parallel push/relabel round is a batch of one worker loop
+/// per ring. Batches from concurrent callers are serialized by a dispatch
+/// lock.
 ///
 /// The threads exit when the last clone is dropped.
 #[derive(Clone, Debug)]
@@ -500,7 +514,7 @@ struct PoolInner {
 
 #[derive(Debug)]
 struct PoolShared {
-    /// Serializes `run` callers: one job in flight at a time.
+    /// Serializes `run_tasks` callers: one batch in flight at a time.
     dispatch: Mutex<()>,
     state: Mutex<PoolState>,
     start: Condvar,
@@ -509,21 +523,25 @@ struct PoolShared {
 
 #[derive(Debug)]
 struct PoolState {
-    job: Option<PoolJob>,
-    seq: u64,
+    batch: Option<Arc<TaskBatch>>,
+    /// Pool threads that may still join the current batch: one per task
+    /// beyond the caller's, up to the pool's size; closed once any
+    /// participant has found every task claimed.
+    openings: usize,
+    /// Pool threads that joined the current batch and have not finished.
     running: usize,
     shutdown: bool,
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers (minimum 1) with stable ids `0..threads`.
+    /// Spawns `threads` workers (minimum 1).
     pub fn new(threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             dispatch: Mutex::new(()),
             state: Mutex::new(PoolState {
-                job: None,
-                seq: 0,
+                batch: None,
+                openings: 0,
                 running: 0,
                 shutdown: false,
             }),
@@ -531,35 +549,32 @@ impl WorkerPool {
             done: Condvar::new(),
         });
         let handles = (0..threads)
-            .map(|id| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut last_seq = 0;
-                    loop {
-                        let job = {
-                            let mut st = shared.state.lock().unwrap();
-                            loop {
-                                if st.shutdown {
-                                    return;
-                                }
-                                if st.seq != last_seq {
-                                    if let Some(job) = st.job.clone() {
-                                        last_seq = st.seq;
-                                        break job;
-                                    }
-                                }
-                                st = shared.start.wait(st).unwrap();
-                            }
-                        };
-                        match &job {
-                            PoolJob::Flow(job) => worker_loop(job, id),
-                            PoolJob::Batch(batch) => batch.run_worker(),
-                        }
+                std::thread::spawn(move || loop {
+                    let batch = {
                         let mut st = shared.state.lock().unwrap();
-                        st.running -= 1;
-                        if st.running == 0 {
-                            shared.done.notify_all();
+                        loop {
+                            if st.shutdown {
+                                return;
+                            }
+                            if st.openings > 0 {
+                                st.openings -= 1;
+                                st.running += 1;
+                                break st.batch.clone().expect("an open batch");
+                            }
+                            st = shared.start.wait(st).unwrap();
                         }
+                    };
+                    batch.run_worker();
+                    drop(batch);
+                    let mut st = shared.state.lock().unwrap();
+                    // Leaving the claiming loop means every task has been
+                    // claimed: no thread that has not joined yet need join.
+                    st.openings = 0;
+                    st.running -= 1;
+                    if st.running == 0 {
+                        shared.done.notify_all();
                     }
                 })
             })
@@ -575,26 +590,18 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads (and work-stealing rings) in this pool.
+    /// Number of worker threads in this pool.
     pub fn threads(&self) -> usize {
         self.inner.threads
     }
 
-    fn run(&self, job: Arc<JobState>) {
-        debug_assert_eq!(
-            job.queues.len(),
-            self.inner.threads,
-            "job ring count must match the pool's worker count"
-        );
-        self.dispatch(PoolJob::Flow(job), None);
-    }
-
-    /// Runs a batch of independent closures across the pool's workers, with
-    /// the calling thread participating in the claiming loop. Blocks until
-    /// every task has run; if any task panicked, the first panic payload is
-    /// re-raised on the caller *after* the batch fully drains (the
-    /// remaining tasks still run — one poisoned solve does not starve its
-    /// batchmates).
+    /// Runs a batch of independent closures across the pool's workers,
+    /// with the calling thread participating in the claiming loop; one
+    /// pool thread is woken per remaining task, up to the pool's size.
+    /// Blocks until every task has run; if any task panicked,
+    /// the first panic payload is re-raised on the caller *after* the batch
+    /// fully drains (the remaining tasks still run — one poisoned solve
+    /// does not starve its batchmates).
     ///
     /// Tasks may borrow from the caller's stack (`'env`): the lifetime is
     /// erased internally, which is sound because this call does not return
@@ -605,22 +612,11 @@ impl WorkerPool {
     /// path therefore hands its per-lane solvers no pool — each fused
     /// solve runs sequentially inside its task.
     pub fn run_tasks<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        match tasks.len() {
-            0 => return,
-            1 => {
-                // One task gains nothing from the handshake: run inline
-                // (panics propagate naturally).
-                let task = tasks.into_iter().next().expect("len checked");
-                task();
-                return;
-            }
-            _ => {}
-        }
-        if self.inner.solo_host {
-            // One hardware thread: waking parked workers just to contend
-            // with the caller is pure handshake loss. Drain the batch on
-            // the caller with identical semantics — every task runs, the
-            // first panic is re-raised after the drain.
+        if tasks.len() <= 1 || self.inner.solo_host {
+            // One task, or one hardware thread, gains nothing from waking
+            // parked workers: drain the batch on the caller with identical
+            // semantics — every task runs, the first panic is re-raised
+            // after the drain.
             let mut first_panic = None;
             for task in tasks {
                 if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
@@ -635,10 +631,16 @@ impl WorkerPool {
         let erased: Vec<TaskSlot> = tasks
             .into_iter()
             .map(|t| {
-                // SAFETY: only the lifetime bound changes. The batch is
-                // fully drained (every closure executed and dropped)
-                // before this function returns — see `dispatch` — so no
-                // erased borrow outlives `'env`.
+                // SAFETY: only the lifetime bound changes. Everything a task
+                // borrows — its captures, and state they point into on the
+                // dispatcher's stack, such as a push/relabel round's
+                // `JobState` and the graph arrays it borrows — lives for
+                // `'env`. This function does not return before the batch
+                // is closed to new pool threads and every thread that
+                // joined has left `run_worker` (the wait below), and by
+                // then every task has been claimed, run and dropped; task
+                // panics are caught inside `run_worker`, so no unwind
+                // skips the wait. No erased borrow outlives `'env`.
                 let t: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(t) };
                 Mutex::new(Some(t))
             })
@@ -648,35 +650,31 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
         });
-        self.dispatch(PoolJob::Batch(Arc::clone(&batch)), Some(&batch));
+        let shared = &self.inner.shared;
+        {
+            let _dispatch = shared.dispatch.lock().unwrap();
+            let openings = self.inner.threads.min(batch.tasks.len() - 1);
+            {
+                let mut st = shared.state.lock().unwrap();
+                st.batch = Some(Arc::clone(&batch));
+                st.openings = openings;
+            }
+            for _ in 0..openings {
+                shared.start.notify_one();
+            }
+            batch.run_worker();
+            let mut st = shared.state.lock().unwrap();
+            // Every task is claimed: threads that have not joined need not.
+            st.openings = 0;
+            while st.running > 0 {
+                st = shared.done.wait(st).unwrap();
+            }
+            st.batch = None;
+        }
         let payload = batch.panics.lock().unwrap().drain(..).next();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Hands `job` to the parked workers and blocks until all of them
-    /// report done. With `participate` set, the dispatching thread joins
-    /// the claiming loop before waiting — for task batches the caller is
-    /// an extra worker, not an idle spectator.
-    fn dispatch(&self, job: PoolJob, participate: Option<&TaskBatch>) {
-        let shared = &self.inner.shared;
-        let _dispatch = shared.dispatch.lock().unwrap();
-        {
-            let mut st = shared.state.lock().unwrap();
-            st.job = Some(job);
-            st.seq += 1;
-            st.running = self.inner.threads;
-        }
-        shared.start.notify_all();
-        if let Some(batch) = participate {
-            batch.run_worker();
-        }
-        let mut st = shared.state.lock().unwrap();
-        while st.running > 0 {
-            st = shared.done.wait(st).unwrap();
-        }
-        st.job = None;
     }
 }
 
@@ -695,25 +693,19 @@ impl Drop for PoolInner {
 
 impl ParallelPushRelabel {
     /// Creates a solver with the given worker-thread count (minimum 1).
-    /// With one thread the discharge loop runs inline — no pool, no
-    /// handshake — making the single-thread configuration a faithful
-    /// sequential baseline for speed-up measurements. With more, a
-    /// private pool is spawned lazily on first use; engines that own a
-    /// shared pool should use [`ParallelPushRelabel::with_pool`] instead.
+    /// With one thread each round runs its single worker inline — no pool,
+    /// no handshake. With more, a private pool is spawned lazily on first
+    /// use; engines that own a shared pool should use
+    /// [`ParallelPushRelabel::with_pool`] instead.
     pub fn new(threads: usize) -> Self {
         ParallelPushRelabel {
             threads: threads.max(1),
             excess: Vec::new(),
             fixup: PushRelabel::new(),
-            topo: None,
             pool: None,
             last_run: ParallelRunStats::default(),
             total_pushes: 0,
             total_relabels: 0,
-            seq_height: Vec::new(),
-            seq_queued: Vec::new(),
-            seq_ring: VecDeque::new(),
-            seq_bfs: Vec::new(),
         }
     }
 
@@ -739,13 +731,20 @@ impl ParallelPushRelabel {
         }
     }
 
-    /// Drops the cached topology snapshot. The cache is keyed only on the
-    /// vertex and edge-slot *counts*, so a caller reusing one engine
-    /// across different graphs that happen to match in size must call
-    /// this before the next run — otherwise the workers would walk the
-    /// stale adjacency structure. The worker pool is unaffected.
-    pub fn invalidate_topology(&mut self) {
-        self.topo = None;
+    /// Runs one round: worker `id` discharges from ring `id` until the job
+    /// is quiescent. One worker runs inline on the caller; more run as one
+    /// pool task batch.
+    fn run_round(&mut self, job: &JobState<'_>) {
+        let threads = self.threads;
+        if threads == 1 {
+            return worker_loop(job, 0);
+        }
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
+        pool.run_tasks(
+            (0..threads)
+                .map(|id| Box::new(move || worker_loop(job, id)) as Box<dyn FnOnce() + Send + '_>)
+                .collect(),
+        );
     }
 
     fn run<W: ArenaIndex>(&mut self, g: &mut FlowGraph<W>, s: VertexId, t: VertexId) -> i64 {
@@ -768,44 +767,7 @@ impl ParallelPushRelabel {
         }
         self.excess[s] = 0;
 
-        // One worker needs none of the shared-state machinery: run the
-        // same algorithm on plain arrays, directly against the graph.
-        if self.threads == 1 {
-            return self.run_single(g, s, t);
-        }
-
-        // (Re)build the topology snapshot if the graph shape changed.
-        let rebuild = match &self.topo {
-            Some(topo) => topo.num_vertices != n || topo.head.len() != g.num_edge_slots(),
-            None => true,
-        };
-        if rebuild {
-            self.topo = Some(Arc::new(Topology::from_graph(g)));
-        }
-        let topo = Arc::clone(self.topo.as_ref().expect("topology just built"));
-
-        let workers = self.threads;
-        let job = Arc::new(JobState {
-            caps: (0..g.num_edge_slots()).map(|e| g.cap(e)).collect(),
-            flow: (0..g.num_edge_slots())
-                .map(|e| AtomicI64::new(g.flow(e)))
-                .collect(),
-            excess: self.excess.iter().map(|&x| AtomicI64::new(x)).collect(),
-            height: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            queued: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            queues: (0..workers)
-                .map(|_| BoundedQueue::with_capacity(n))
-                .collect(),
-            active: AtomicUsize::new(0),
-            pushes: AtomicUsize::new(0),
-            relabels: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            s,
-            t,
-            height_cap: n as u32,
-            relabel_limit: AtomicUsize::new(0),
-            topo,
-        });
+        let job = JobState::new(g, &self.excess, self.threads, s, t);
 
         // Rounds: global relabel (exact heights), then lock-free
         // discharging until quiescent or the round's relabel budget runs
@@ -837,19 +799,13 @@ impl ParallelPushRelabel {
                     // against empty rings: unlike the racy push in
                     // `try_enqueue`, this one can never fail. Round-robin
                     // placement gives every worker a starting share.
-                    job.queues[seeded % workers]
+                    job.queues[seeded % self.threads]
                         .push(v as u32)
                         .expect("vertex ring sized to hold every vertex");
                     seeded += 1;
                 }
             }
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::new(self.threads));
-            }
-            self.pool
-                .as_ref()
-                .expect("pool just built")
-                .run(Arc::clone(&job));
+            self.run_round(&job);
             let no_progress = job.pushes.load(Ordering::Relaxed) == pushes_before
                 && job.relabels.load(Ordering::Relaxed) == relabels_before;
             if no_progress {
@@ -860,191 +816,32 @@ impl ParallelPushRelabel {
             }
         }
 
-        // Copy atomic state back into the graph and solver.
-        for e in 0..g.num_edge_slots() {
-            g.set_flow_raw(e, job.flow[e].load(Ordering::SeqCst));
+        // Copy the atomic state back into the graph and solver; taking the
+        // job apart ends its borrow of the graph's CSR arrays.
+        let JobState {
+            flow,
+            excess,
+            pushes,
+            relabels,
+            steals,
+            ..
+        } = job;
+        for (e, f) in flow.into_iter().enumerate() {
+            g.set_flow_raw(e, f.into_inner());
         }
-        for v in 0..n {
-            self.excess[v] = job.excess[v].load(Ordering::SeqCst);
+        for (x, a) in self.excess.iter_mut().zip(excess) {
+            *x = a.into_inner();
         }
         self.excess[s] = 0;
-
         self.last_run = ParallelRunStats {
-            parallel_pushes: job.pushes.load(Ordering::Relaxed) as u64,
-            parallel_relabels: job.relabels.load(Ordering::Relaxed) as u64,
+            parallel_pushes: pushes.into_inner() as u64,
+            parallel_relabels: relabels.into_inner() as u64,
             fixup_pushes: 0,
-            steals: job.steals.load(Ordering::Relaxed) as u64,
+            steals: steals.into_inner() as u64,
         };
         self.total_pushes += self.last_run.parallel_pushes;
         self.total_relabels += self.last_run.parallel_relabels;
-        self.finish_run(g, s, t, stalled)
-    }
 
-    /// The single-worker configuration of the same algorithm, on plain
-    /// state: no topology snapshot, no atomic copy-in/copy-out, no RMWs —
-    /// the discharge walks the graph's own CSR arena directly. The control
-    /// flow replicates [`global_relabel`], the seeding loop,
-    /// [`worker_loop`] and [`JobState::discharge`] decision for decision
-    /// (one worker's pops from its own ring are FIFO, exactly a
-    /// `VecDeque`), so push/relabel counts — and therefore solve digests —
-    /// are bit-identical to the pooled path run with one worker.
-    fn run_single<W: ArenaIndex>(&mut self, g: &mut FlowGraph<W>, s: VertexId, t: VertexId) -> i64 {
-        let n = g.num_vertices();
-        let height_cap = n as u32;
-        const UNSEEN: u32 = u32::MAX;
-        self.seq_height.clear();
-        self.seq_height.resize(n, 0);
-        self.seq_queued.clear();
-        self.seq_queued.resize(n, false);
-        self.seq_ring.clear();
-        let (mut pushes, mut relabels) = (0u64, 0u64);
-        let round_budget = n.max(64) as u64;
-        let mut stalled = false;
-        loop {
-            // A vertex must hold excess for the relabeling BFS to count
-            // anything, so when every unit has reached `t` (or returned to
-            // `s`) the final BFS is skipped outright: it would find zero.
-            // Heights are scratch state, dead once the loop exits.
-            let any_excess = (0..n).any(|v| v != s && v != t && self.excess[v] > 0);
-            if !any_excess {
-                break;
-            }
-            // Global relabel: exact residual distances to `t` by reverse
-            // BFS, vertices that cannot reach `t` (and the source) parked
-            // at the phase-1 boundary height `n`.
-            self.seq_height[..n].fill(UNSEEN);
-            self.seq_height[t] = 0;
-            self.seq_bfs.clear();
-            self.seq_bfs.push(t as u32);
-            let mut head = 0;
-            while head < self.seq_bfs.len() {
-                let w = self.seq_bfs[head] as usize;
-                head += 1;
-                let dw = self.seq_height[w];
-                let (lo, hi) = g.adj_bounds(w);
-                for pos in lo..hi {
-                    g.prefetch_adj(pos, hi);
-                    let e = g.adj_slot(pos);
-                    let u = g.target_fast(e);
-                    if self.seq_height[u] == UNSEEN && g.residual_fast(e ^ 1) > 0 && u != s {
-                        self.seq_height[u] = dw + 1;
-                        self.seq_bfs.push(u as u32);
-                    }
-                }
-            }
-            let mut reachable_excess = 0usize;
-            for v in 0..n {
-                if self.seq_height[v] == UNSEEN || v == s {
-                    self.seq_height[v] = height_cap;
-                } else if v != s && v != t && self.excess[v] > 0 {
-                    reachable_excess += 1;
-                }
-            }
-            if reachable_excess == 0 {
-                break;
-            }
-            let relabel_limit = relabels + round_budget;
-            for v in 0..n {
-                if v != s && v != t && self.excess[v] > 0 && self.seq_height[v] < height_cap {
-                    self.seq_queued[v] = true;
-                    self.seq_ring.push_back(v as u32);
-                }
-            }
-            let (pushes_before, relabels_before) = (pushes, relabels);
-            while let Some(v) = self.seq_ring.pop_front() {
-                let v = v as usize;
-                // Discharge `v` fully (lowest residual neighbour rule).
-                // Only `v` itself mutates its height and (net) excess while
-                // it is being discharged, so both are carried in locals and
-                // the adjacency bounds are computed once.
-                let (lo, hi) = g.adj_bounds(v);
-                let mut ev = self.excess[v];
-                let mut hv = self.seq_height[v];
-                loop {
-                    if ev <= 0 || relabels >= relabel_limit {
-                        break;
-                    }
-                    // Lowest residual neighbour. The height test runs
-                    // first — heights live in a small cache-resident array
-                    // — so the scattered cap/flow loads are paid only for
-                    // edges that would actually improve the minimum; the
-                    // conjunction commutes, so the selected edge (first
-                    // strict minimum in slot order) is unchanged.
-                    let mut best_edge = usize::MAX;
-                    let mut best_h = u32::MAX;
-                    for pos in lo..hi {
-                        g.prefetch_adj_head(pos, hi);
-                        let e = g.adj_slot(pos);
-                        let h = self.seq_height[g.target_fast(e)];
-                        if h < best_h && g.residual_fast(e) > 0 {
-                            best_h = h;
-                            best_edge = e;
-                        }
-                    }
-                    if best_edge == usize::MAX {
-                        break; // stranded; the drain pass handles it
-                    }
-                    if hv > best_h {
-                        let delta = ev.min(g.residual(best_edge));
-                        let w = g.target(best_edge);
-                        g.push(best_edge, delta);
-                        ev -= delta;
-                        self.excess[v] -= delta;
-                        self.excess[w] += delta;
-                        pushes += 1;
-                        if w != s
-                            && w != t
-                            && self.seq_height[w] < height_cap
-                            && !self.seq_queued[w]
-                        {
-                            self.seq_queued[w] = true;
-                            self.seq_ring.push_back(w as u32);
-                        }
-                    } else {
-                        hv = best_h + 1;
-                        self.seq_height[v] = hv;
-                        relabels += 1;
-                        if hv >= height_cap {
-                            break;
-                        }
-                    }
-                }
-                self.seq_queued[v] = false;
-                if self.excess[v] > 0 && self.seq_height[v] < height_cap && relabels < relabel_limit
-                {
-                    self.seq_queued[v] = true;
-                    self.seq_ring.push_back(v as u32);
-                }
-            }
-            if pushes == pushes_before && relabels == relabels_before {
-                stalled = true;
-                break;
-            }
-        }
-        self.excess[s] = 0;
-
-        self.last_run = ParallelRunStats {
-            parallel_pushes: pushes,
-            parallel_relabels: relabels,
-            fixup_pushes: 0,
-            steals: 0,
-        };
-        self.total_pushes += pushes;
-        self.total_relabels += relabels;
-        self.finish_run(g, s, t, stalled)
-    }
-
-    /// Common tail of both run paths: defensive sequential fixup when a
-    /// round made no progress (cannot happen; see the stall guard), then
-    /// the preflow-to-flow conversion.
-    fn finish_run<W: ArenaIndex>(
-        &mut self,
-        g: &mut FlowGraph<W>,
-        s: VertexId,
-        t: VertexId,
-        stalled: bool,
-    ) -> i64 {
-        let n = g.num_vertices();
         if stalled {
             // Defensive fallback: finish with the (two-phase) sequential
             // engine rather than risk a silently suboptimal schedule.
@@ -1136,6 +933,10 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for ParallelPushRelabel {
 
     fn op_counts(&self) -> (u64, u64) {
         ParallelPushRelabel::op_counts(self)
+    }
+
+    fn reset_excess(&mut self, n: usize) {
+        ParallelPushRelabel::reset_excess(self, n)
     }
 }
 
@@ -1290,11 +1091,9 @@ mod tests {
             let (mut g1, s, t) = clrs();
             assert_eq!(a.max_flow(&mut g1, s, t), 23, "round {round}");
             a.reset_excess(g1.num_vertices());
-            a.invalidate_topology();
             let (mut g2, s2, t2) = clrs();
             assert_eq!(b.max_flow(&mut g2, s2, t2), 23, "round {round}");
             b.reset_excess(g2.num_vertices());
-            b.invalidate_topology();
         }
         assert_eq!(pool.threads(), 2);
     }
@@ -1317,25 +1116,70 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_topology_allows_same_size_reuse() {
-        // Two graphs with identical vertex/edge counts but different
-        // shapes: the size-keyed cache cannot tell them apart, so the
-        // caller invalidates between runs.
-        let mut pr = ParallelPushRelabel::new(2);
-        let mut g1: FlowGraph = FlowGraph::new(4);
-        g1.add_edge(0, 1, 3);
-        g1.add_edge(1, 3, 2);
-        g1.add_edge(0, 2, 1);
-        g1.add_edge(2, 3, 5);
-        assert_eq!(pr.max_flow(&mut g1, 0, 3), 3);
-        let mut g2: FlowGraph = FlowGraph::new(4);
-        g2.add_edge(0, 2, 6);
-        g2.add_edge(2, 1, 6);
-        g2.add_edge(1, 3, 4);
-        g2.add_edge(0, 3, 1);
-        pr.invalidate_topology();
-        pr.reset_excess(4);
-        assert_eq!(pr.max_flow(&mut g2, 0, 3), 5);
+    fn equal_size_graphs_need_no_invalidation() {
+        // Two graphs with identical vertex and edge-slot counts but
+        // different shapes, solved back to back by one engine: each run
+        // must walk the adjacency of the graph it is handed.
+        for threads in [1, 2] {
+            let mut pr = ParallelPushRelabel::new(threads);
+            let mut g1: FlowGraph = FlowGraph::new(4);
+            g1.add_edge(0, 1, 3);
+            g1.add_edge(1, 3, 2);
+            g1.add_edge(0, 2, 1);
+            g1.add_edge(2, 3, 5);
+            assert_eq!(pr.max_flow(&mut g1, 0, 3), 3, "{threads} threads");
+            let mut g2: FlowGraph = FlowGraph::new(4);
+            g2.add_edge(0, 2, 6);
+            g2.add_edge(2, 1, 6);
+            g2.add_edge(1, 3, 4);
+            g2.add_edge(0, 3, 1);
+            pr.reset_excess(4);
+            assert_eq!(pr.max_flow(&mut g2, 0, 3), 5, "{threads} threads");
+            assert_valid_flow(&g2, 0, 3);
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_inline_without_a_pool() {
+        let (mut g, s, t) = clrs();
+        let mut pr = ParallelPushRelabel::new(1);
+        assert_eq!(pr.max_flow(&mut g, s, t), 23);
+        assert!(
+            pr.pool.is_none(),
+            "a one-worker round must not spawn a pool"
+        );
+        assert_eq!(pr.last_run.steals, 0);
+    }
+
+    #[test]
+    fn round_panic_is_reraised_without_hanging_peers() {
+        // A worker that panics mid-discharge leaves its vertex counted in
+        // `active`; its idle peer must stop instead of waiting for
+        // quiescence, and the panic must reach the caller. A head array
+        // pointing past the vertex range makes the discharge panic.
+        let (mut g, s, t) = clrs();
+        g.finalize();
+        let bogus = vec![u32::MAX; g.num_edge_slots()];
+        let mut excess = vec![0i64; g.num_vertices()];
+        excess[1] = 5;
+        let pool = WorkerPool::new(2);
+        let mut pr = ParallelPushRelabel::with_pool(pool.clone());
+        let mut job = JobState::new(&g, &excess, 2, s, t);
+        job.head = &bogus;
+        job.relabel_limit.store(usize::MAX, Ordering::Relaxed);
+        job.queued[1].store(true, Ordering::Relaxed);
+        job.active.store(1, Ordering::Relaxed);
+        job.queues[1].push(1).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pr.run_round(&job)));
+        assert!(
+            result.is_err(),
+            "the round's panic must re-raise on the caller"
+        );
+        assert!(job.aborted.load(Ordering::SeqCst));
+        // The pool survives and still runs rounds.
+        let (mut g, s, t) = clrs();
+        assert_eq!(pr.max_flow(&mut g, s, t), 23);
+        assert_eq!(pool.threads(), 2);
     }
 
     #[test]
@@ -1354,6 +1198,31 @@ mod tests {
         }
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i as u64 + 1) * 10, "task {i}");
+        }
+    }
+
+    #[test]
+    fn run_tasks_with_fewer_or_more_tasks_than_threads() {
+        // Batches smaller than the pool wake only as many threads as they
+        // have tasks beyond the caller's; larger ones wake them all. Mixed
+        // back to back, every task of every batch runs exactly once.
+        let pool = WorkerPool::new(4);
+        for round in 0..200usize {
+            let len = [2, 3, 4, 5, 9][round % 5];
+            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            pool.run_tasks(
+                hits.iter()
+                    .map(|h| {
+                        Box::new(move || {
+                            h.fetch_add(1, Ordering::SeqCst);
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect(),
+            );
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                "round {round}"
+            );
         }
     }
 
@@ -1389,7 +1258,8 @@ mod tests {
         assert!(result.is_err(), "panic must re-raise on the dispatcher");
         // The batch drains fully before the re-raise.
         assert_eq!(done.load(Ordering::SeqCst), 7);
-        // The pool survives: both flow jobs and fresh batches still run.
+        // The pool survives: both push/relabel rounds and fresh batches
+        // still run.
         let (mut g, s, t) = clrs();
         let mut pr = ParallelPushRelabel::with_pool(pool.clone());
         assert_eq!(pr.max_flow(&mut g, s, t), 23);
@@ -1404,14 +1274,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_jobs_and_task_batches_interleave_on_one_pool() {
+    fn rounds_and_task_batches_interleave_on_one_pool() {
         let pool = WorkerPool::new(2);
         let mut pr = ParallelPushRelabel::with_pool(pool.clone());
         for round in 0..4 {
             let (mut g, s, t) = clrs();
             assert_eq!(pr.max_flow(&mut g, s, t), 23, "round {round}");
             pr.reset_excess(g.num_vertices());
-            pr.invalidate_topology();
             let mut sums = [0u64; 6];
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = sums
                 .iter_mut()

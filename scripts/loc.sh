@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Line counts of rds-core's serving, configuration and observability
-# modules.
+# modules, and of the parallel push-relabel kernel (rds-flow's
+# `parallel.rs` and `mpmc.rs` plus rds-core's `parallel.rs`).
 #
 # For every file, "code" is the number of lines before the file's
 # top-level `#[cfg(test)]` (the whole file when it has none) and "total"
@@ -34,6 +35,7 @@ row session session.rs
 row workspace workspace.rs
 row spec spec.rs
 row obs/ obs/*.rs
+row parallel ../../flow/src/parallel.rs ../../flow/src/mpmc.rs parallel.rs
 row engine+serve engine.rs serve.rs
 row tracked engine.rs serve.rs session.rs workspace.rs obs/*.rs
 row crate $(find . -name '*.rs' | sort)

@@ -333,7 +333,7 @@ fn serve_overload_applies_queue_full_and_shed_backpressure() {
             h.submit(QueryRequest::new(0, buckets.clone())).unwrap();
             // Wait for the worker to take the request and wedge in Gate,
             // so subsequent depths are deterministic.
-            while h.queue_depth(0) > 0 {
+            while h.queue_depth(0) != Some(0) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             h.submit(QueryRequest::new(0, buckets.clone())).unwrap(); // depth 1
