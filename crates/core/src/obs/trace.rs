@@ -125,8 +125,9 @@ pub enum TraceEvent {
         lower_bound: Micros,
     },
     /// A plane-sharing workspace staged a solve by checking out the
-    /// instance's immutable CSR topology plane (Arc-shared) plus a fresh
-    /// capacity/flow plane, instead of deep-copying the whole arena.
+    /// instance's immutable CSR topology plane (Arc-shared) plus fresh
+    /// copies of its per-slot arrays, instead of deep-copying the whole
+    /// arena.
     /// Emitted only when plane sharing is enabled (the fused batch path).
     PlaneCheckout {
         /// True when the workspace already held this epoch's topology

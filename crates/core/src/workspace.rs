@@ -114,8 +114,8 @@ pub struct Workspace {
     requested: ArenaLayout,
     /// When set, staging checks out the instance's immutable CSR
     /// topology plane (Arc-shared, copy-on-write) instead of deep-copying
-    /// it — only the per-query capacity/flow plane is copied. Enabled by
-    /// the fused batch path ([`SolverSpec::batch_fuse`]
+    /// it — only the per-slot `head`/`cap`/`flow` arrays are copied.
+    /// Enabled by the fused batch path ([`SolverSpec::batch_fuse`]
     /// (crate::spec::SolverSpec::batch_fuse)); off by default so the
     /// rebuild-per-query paths keep their zero-steady-state-allocation
     /// contract without COW detaches.
@@ -267,26 +267,32 @@ impl Workspace {
         self.pool = Some(pool);
     }
 
-    /// Resolves the layout policy against one instance.
-    fn select_width(&self, inst: &RetrievalInstance) -> ActiveWidth {
-        match self.requested {
-            ArenaLayout::Wide => ActiveWidth::Wide,
-            ArenaLayout::Compact => ActiveWidth::Compact,
-            _ => {
-                if compact_capacity_fits(peak_edge_capacity(inst).0) {
-                    ActiveWidth::Compact
-                } else {
-                    ActiveWidth::Wide
-                }
-            }
+    /// Resolves the layout policy against one instance, walking its
+    /// capacity bound ([`peak_edge_capacity`]) at most once. Under a
+    /// forced [`ArenaLayout::Compact`] this fails with
+    /// [`SolveError::ArenaOverflow`] when the bound (or any static
+    /// capacity) exceeds the narrow width; under `Auto` it widens instead.
+    fn select_width(&self, inst: &RetrievalInstance) -> Result<ActiveWidth, SolveError> {
+        if self.requested == ArenaLayout::Wide {
+            return Ok(ActiveWidth::Wide);
+        }
+        let (bound, edge) = peak_edge_capacity(inst);
+        if compact_capacity_fits(bound) {
+            Ok(ActiveWidth::Compact)
+        } else if self.requested == ArenaLayout::Compact {
+            Err(SolveError::ArenaOverflow {
+                edge,
+                value: bound,
+                width: "i32",
+            })
+        } else {
+            Ok(ActiveWidth::Wide)
         }
     }
 
-    /// Copies `inst`'s network into the scratch graph of the selected
-    /// width. Under a forced [`ArenaLayout::Compact`] this fails with
-    /// [`SolveError::ArenaOverflow`] when the instance's capacity bound
-    /// (or any static capacity) exceeds the narrow width; under `Auto`
-    /// the selector has already widened instead.
+    /// Copies `inst`'s network into the scratch graph of the width
+    /// [`Workspace::select_width`] picks, or fails with its typed
+    /// [`SolveError::ArenaOverflow`].
     ///
     /// In debug builds, asserts the steady-state contract of the CSR
     /// arena: an instance no larger than any previously staged one *of
@@ -294,19 +300,7 @@ impl Workspace {
     /// never shrink, so those two marks bound every buffer length) must
     /// copy in with **zero** graph allocations.
     fn stage_graph(&mut self, inst: &RetrievalInstance) -> Result<(), SolveError> {
-        self.active = self.select_width(inst);
-        if self.active == ActiveWidth::Compact {
-            let (bound, edge) = peak_edge_capacity(inst);
-            if !compact_capacity_fits(bound) {
-                // Unreachable under Auto (the selector widened); a forced
-                // Compact surfaces the typed error instead of wrapping.
-                return Err(SolveError::ArenaOverflow {
-                    edge,
-                    value: bound,
-                    width: "i32",
-                });
-            }
-        }
+        self.active = self.select_width(inst)?;
         let wi = match self.active {
             ActiveWidth::Wide => 0,
             ActiveWidth::Compact => 1,
@@ -322,7 +316,7 @@ impl Workspace {
         );
         if self.plane_sharing && inst.graph.is_finalized() {
             // Epoch-shared checkout: Arc-share the instance's immutable
-            // topology plane, copy only the per-query cap/flow plane. A
+            // CSR plane, copy only the per-slot head/cap/flow arrays. A
             // compact checkout validates every value fits `i32` before
             // writing anything, so the typed overflow below leaves the
             // scratch graph's previous plane intact.
@@ -430,9 +424,12 @@ pub(crate) struct ArmedBudget {
 
 impl ArmedBudget {
     /// Arms `budget` now: wall-clock limits anchor to the current instant.
+    /// A limit whose deadline lies beyond the clock's range never expires.
     pub(crate) fn start(budget: SolveBudget) -> ArmedBudget {
         ArmedBudget {
-            deadline: budget.wall_clock.map(|d| Instant::now() + d),
+            deadline: budget
+                .wall_clock
+                .and_then(|d| Instant::now().checked_add(d)),
             max_work: budget.max_probes,
         }
     }

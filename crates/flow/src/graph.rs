@@ -20,9 +20,12 @@
 //! slots are the contiguous range `adj_list[adj_index[v]..adj_index[v + 1]]`
 //! — one cache-friendly slice instead of the former per-vertex `Vec`
 //! (a heap allocation and pointer chase per vertex on every hot loop).
+//! Only the CSR pair lives in the shareable [`TopologyPlane`]; the per-slot
+//! arrays, `head` included, are private to each graph.
 //!
-//! Topology mutation ([`FlowGraph::add_edge`]) appends to the edge arrays
-//! and marks the CSR index stale; [`FlowGraph::finalize`] rebuilds it with a
+//! Topology mutation ([`FlowGraph::add_edge`]) appends to the private edge
+//! arrays — plain `Vec` pushes that touch no shared state — and marks the
+//! CSR index stale; [`FlowGraph::finalize`] rebuilds it with a
 //! *stable* counting sort in `O(n + m)` using only reused buffers. Stability
 //! matters: per-vertex slot order stays exactly the insertion order the old
 //! `Vec<Vec<u32>>` layout produced, so every solver's traversal order — and
@@ -144,50 +147,59 @@ impl std::fmt::Display for WidthOverflow {
 
 impl std::error::Error for WidthOverflow {}
 
-/// The immutable half of a CSR arena: everything that describes the
-/// network *shape* and nothing that a solve mutates.
+/// The shareable half of a CSR arena: the adjacency index that
+/// [`FlowGraph::finalize`] writes, and nothing that a build or a solve
+/// mutates.
 ///
-/// `head`, `adj_index` and `adj_list` are width-free (`u32` regardless of
-/// the capacity width), so one plane can back both the wide and the
-/// compact arena. Planes are held behind an [`std::sync::Arc`] and shared
+/// `adj_index` and `adj_list` are width-free (`u32` regardless of the
+/// capacity width), so one plane can back both the wide and the compact
+/// arena. Planes are held behind an [`std::sync::Arc`] and shared
 /// copy-on-write: [`FlowGraph::checkout_plane_from`] shares a finalized
-/// plane in O(1), and any later topology mutation on either side
-/// ([`FlowGraph::add_edge`], [`FlowGraph::reset`], [`FlowGraph::finalize`]
-/// after new edges) detaches a private copy first — a detach counts as an
+/// plane in O(1), and a rewrite of the index on either side
+/// ([`FlowGraph::finalize`] after new edges, [`FlowGraph::reset`],
+/// [`FlowGraph::add_vertex`]) detaches a private plane first — one
+/// reference-count check per rebuild. A detach counts as an
 /// [`GraphArena::allocation_events`] event, which is how the serving
 /// layers pin "the epoch plane was never invalidated in steady state".
+/// [`FlowGraph::add_edge`] never touches the plane: the edge-target array
+/// `head` is private to each graph, beside `cap`/`flow`.
 #[derive(Clone, Debug, Default)]
 pub struct TopologyPlane {
-    /// `head[e]` is the target vertex of edge slot `e`. The owning (source)
-    /// vertex of `e` is `head[e ^ 1]`.
-    head: Vec<u32>,
     /// CSR offsets: vertex `v` owns `adj_list[adj_index[v]..adj_index[v+1]]`.
     adj_index: Vec<u32>,
     /// Edge slots grouped by owning vertex, insertion order within a vertex.
     adj_list: Vec<u32>,
 }
 
-/// Returns the plane for mutation, detaching a private copy first when it
-/// is shared (copy-on-write). A detach is a real allocation, so it counts
-/// as a growth event.
+/// Returns the plane for rewriting, detaching a private plane first when
+/// it is shared (copy-on-write): a copy of the shared one when `keep`
+/// (the caller edits the index in place), else an empty one (the caller
+/// rewrites it whole). A detach is a real allocation, so it counts as a
+/// growth event.
 #[inline]
-fn topo_mut<'a>(
+fn plane_mut<'a>(
     topo: &'a mut std::sync::Arc<TopologyPlane>,
     grows: &mut u64,
+    keep: bool,
 ) -> &'a mut TopologyPlane {
     if std::sync::Arc::get_mut(topo).is_none() {
         *grows += 1;
+        *topo = std::sync::Arc::new(if keep {
+            (**topo).clone()
+        } else {
+            TopologyPlane::default()
+        });
     }
-    std::sync::Arc::make_mut(topo)
+    std::sync::Arc::get_mut(topo).expect("plane is private here")
 }
 
 /// The flat reusable buffers backing a [`FlowGraph`].
 ///
 /// The arena is split into two planes: the topology plane
-/// ([`TopologyPlane`]: `head`/`adj_index`/`adj_list`, immutable per epoch
-/// and shareable across graphs of *either* width) and the per-query
-/// capacity/flow plane (`cap`/`flow`, private to this arena and mutated by
-/// every solve).
+/// ([`TopologyPlane`]: the CSR index `adj_index`/`adj_list`, immutable per
+/// epoch and shareable across graphs of *either* width) and the private
+/// per-slot arrays (`head`/`cap`/`flow`, written by every build and, for
+/// `cap`/`flow`, by every solve).
 ///
 /// The arena never shrinks: [`FlowGraph::reset`] and
 /// [`FlowGraph::copy_from`] clear lengths but keep capacity, so a rebuild of
@@ -201,6 +213,9 @@ pub struct GraphArena<W: ArenaIndex = i64> {
     /// The shared-or-private topology plane. `Clone` on the arena shares it
     /// (copy-on-write); deep copies go through [`FlowGraph::copy_from`].
     topo: std::sync::Arc<TopologyPlane>,
+    /// `head[e]` is the target vertex of edge slot `e`. The owning (source)
+    /// vertex of `e` is `head[e ^ 1]`.
+    head: Vec<u32>,
     /// Capacity of each edge slot. Reverse slots have capacity 0.
     cap: Vec<W>,
     /// Current flow on each edge slot; `flow[e ^ 1] == -flow[e]`.
@@ -224,10 +239,26 @@ impl<W: ArenaIndex> GraphArena<W> {
     /// is counted in full even when it is shared with other arenas).
     pub fn reserved_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.topo.head.capacity() + self.topo.adj_index.capacity())
+        (self.head.capacity() + self.topo.adj_index.capacity())
             .saturating_add(self.topo.adj_list.capacity() + self.cursor.capacity())
             * size_of::<u32>()
             + (self.cap.capacity() + self.flow.capacity()) * size_of::<W>()
+    }
+
+    /// Copies `src`'s edge targets, and its CSR plane unless the two
+    /// already share one (a shared plane is the same index by the
+    /// copy-on-write invariant), reusing this arena's buffers.
+    fn copy_shape_from<V: ArenaIndex>(&mut self, src: &GraphArena<V>) {
+        track_grow(&mut self.grows, &mut self.head, |v| v.clone_from(&src.head));
+        if !std::sync::Arc::ptr_eq(&self.topo, &src.topo) {
+            let t = plane_mut(&mut self.topo, &mut self.grows, false);
+            track_grow(&mut self.grows, &mut t.adj_index, |v| {
+                v.clone_from(&src.topo.adj_index)
+            });
+            track_grow(&mut self.grows, &mut t.adj_list, |v| {
+                v.clone_from(&src.topo.adj_list)
+            });
+        }
     }
 }
 
@@ -278,10 +309,10 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let mut g = FlowGraph {
             arena: GraphArena {
                 topo: std::sync::Arc::new(TopologyPlane {
-                    head: Vec::with_capacity(2 * edges),
                     adj_index: Vec::with_capacity(n + 1),
                     adj_list: Vec::with_capacity(2 * edges),
                 }),
+                head: Vec::with_capacity(2 * edges),
                 cap: Vec::with_capacity(2 * edges),
                 flow: Vec::with_capacity(2 * edges),
                 cursor: Vec::with_capacity(n),
@@ -303,13 +334,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// Number of directed edge slots (twice the number of added edges).
     #[inline]
     pub fn num_edge_slots(&self) -> usize {
-        self.arena.topo.head.len()
+        self.arena.head.len()
     }
 
     /// Number of forward edges added via [`FlowGraph::add_edge`].
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.arena.topo.head.len() / 2
+        self.arena.head.len() / 2
     }
 
     /// The backing buffer arena (allocation telemetry).
@@ -331,7 +362,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
     pub fn add_vertex(&mut self) -> VertexId {
         if !self.dirty {
             let a = &mut self.arena;
-            let t = topo_mut(&mut a.topo, &mut a.grows);
+            let t = plane_mut(&mut a.topo, &mut a.grows, true);
             let end = *t.adj_index.last().expect("index has n+1 entries");
             track_grow(&mut a.grows, &mut t.adj_index, |idx| idx.push(end));
         }
@@ -339,27 +370,24 @@ impl<W: ArenaIndex> FlowGraph<W> {
         self.n - 1
     }
 
-    /// Pre-sizes the arena for at least `edges` forward edges (twice that
-    /// many slots), so a cold build pays one allocation per array instead
-    /// of doubling growth, and a steady-state rebuild under the bound pays
-    /// none. Callers that know their topology ahead (the retrieval network
-    /// builders do: `q` bucket arcs, at most `MAX_COPIES` replica arcs per
-    /// bucket, one arc per disk) should call this right after
-    /// [`FlowGraph::reset`].
+    /// Pre-sizes the private edge arrays for at least `edges` forward edges
+    /// (twice that many slots), so a cold build pays one allocation per
+    /// array instead of doubling growth, and a steady-state rebuild under
+    /// the bound pays none. Callers that know their topology ahead (the
+    /// retrieval network builders do: `q` bucket arcs, at most
+    /// `MAX_COPIES` replica arcs per bucket, one arc per disk) should call
+    /// this right after [`FlowGraph::reset`]. The CSR plane is sized by
+    /// [`FlowGraph::finalize`], which knows the exact slot count.
     pub fn reserve_edges(&mut self, edges: usize) {
         let slots = edges * 2;
         let a = &mut self.arena;
+        track_grow(&mut a.grows, &mut a.head, |v| {
+            v.reserve(slots.saturating_sub(v.len()))
+        });
         track_grow(&mut a.grows, &mut a.cap, |v| {
             v.reserve(slots.saturating_sub(v.len()))
         });
         track_grow(&mut a.grows, &mut a.flow, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
-        let t = topo_mut(&mut a.topo, &mut a.grows);
-        track_grow(&mut a.grows, &mut t.head, |v| {
-            v.reserve(slots.saturating_sub(v.len()))
-        });
-        track_grow(&mut a.grows, &mut t.adj_list, |v| {
             v.reserve(slots.saturating_sub(v.len()))
         });
     }
@@ -367,7 +395,8 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// Adds a forward edge `u -> v` with capacity `cap` and its paired
     /// reverse edge `v -> u` with capacity 0, and marks the CSR index stale
     /// (see [`FlowGraph::finalize`]). Returns the forward edge id (always
-    /// even).
+    /// even). Writes only this graph's private edge arrays: a CSR plane
+    /// shared with other graphs stays shared until the next `finalize`.
     ///
     /// # Panics
     ///
@@ -377,16 +406,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
         assert!(v < self.n, "target vertex {v} out of range");
         assert!(cap >= 0, "negative capacity {cap}");
         let a = &mut self.arena;
-        let t = topo_mut(&mut a.topo, &mut a.grows);
-        let e = t.head.len();
-        let before = t.head.capacity();
-        t.head.push(v as u32);
-        t.head.push(u as u32);
-        a.grows += (t.head.capacity() != before) as u64;
-        a.cap.push(W::from_i64(cap));
-        a.cap.push(W::default());
-        a.flow.push(W::default());
-        a.flow.push(W::default());
+        let e = a.head.len();
+        let before = a.head.capacity();
+        // One capacity check per array for the slot pair.
+        a.head.extend_from_slice(&[v as u32, u as u32]);
+        a.grows += (a.head.capacity() != before) as u64;
+        a.cap.extend_from_slice(&[W::from_i64(cap), W::default()]);
+        a.flow.extend_from_slice(&[W::default(); 2]);
         self.dirty = true;
         e
     }
@@ -405,14 +431,16 @@ impl<W: ArenaIndex> FlowGraph<W> {
         }
         let n = self.n;
         let a = &mut self.arena;
-        let t = topo_mut(&mut a.topo, &mut a.grows);
-        let m = t.head.len();
+        let head = &a.head;
+        let t = plane_mut(&mut a.topo, &mut a.grows, false);
+        let m = head.len();
         let before = t.adj_index.capacity() + t.adj_list.capacity() + a.cursor.capacity();
         t.adj_index.clear();
         t.adj_index.resize(n + 1, 0);
-        // Count slots per owning vertex; the owner of slot e is head[e ^ 1].
-        for e in 0..m {
-            t.adj_index[t.head[e ^ 1] as usize + 1] += 1;
+        // Count slots per owning vertex. The owner of slot e is
+        // head[e ^ 1], so over all slots the owners are exactly the heads.
+        for &h in head {
+            t.adj_index[h as usize + 1] += 1;
         }
         for v in 0..n {
             t.adj_index[v + 1] += t.adj_index[v];
@@ -427,11 +455,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
         t.adj_list.clear();
         t.adj_list.reserve(m);
         let spare = t.adj_list.spare_capacity_mut();
-        for e in 0..m {
-            let src = t.head[e ^ 1] as usize;
-            let slot = a.cursor[src];
-            spare[slot as usize].write(e as u32);
-            a.cursor[src] = slot + 1;
+        for (e, pair) in (0u32..).step_by(2).zip(head.chunks_exact(2)) {
+            // Slot e is owned by pair[1], its reverse slot e + 1 by pair[0].
+            for (slot_id, owner) in [(e, pair[1]), (e + 1, pair[0])] {
+                let slot = a.cursor[owner as usize];
+                spare[slot as usize].write(slot_id);
+                a.cursor[owner as usize] = slot + 1;
+            }
         }
         // SAFETY: the placement pass above initialized all `m` entries.
         unsafe { t.adj_list.set_len(m) };
@@ -443,13 +473,13 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// Target vertex of edge `e`.
     #[inline]
     pub fn target(&self, e: EdgeId) -> VertexId {
-        self.arena.topo.head[e] as usize
+        self.arena.head[e] as usize
     }
 
     /// Source vertex of edge `e` (the target of its reverse edge).
     #[inline]
     pub fn source(&self, e: EdgeId) -> VertexId {
-        self.arena.topo.head[e ^ 1] as usize
+        self.arena.head[e ^ 1] as usize
     }
 
     /// Capacity of edge `e`.
@@ -516,9 +546,9 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// debug builds, where every test suite runs.
     #[inline(always)]
     pub(crate) fn target_fast(&self, e: EdgeId) -> VertexId {
-        debug_assert!(e < self.arena.topo.head.len(), "edge {e} out of range");
+        debug_assert!(e < self.arena.head.len(), "edge {e} out of range");
         // SAFETY: guarded by the documented contract + debug_assert above.
-        unsafe { *self.arena.topo.head.get_unchecked(e) as usize }
+        unsafe { *self.arena.head.get_unchecked(e) as usize }
     }
 
     /// Residual capacity of edge `e`, without release-mode bounds checks.
@@ -610,7 +640,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
             let e = unsafe { *self.arena.topo.adj_list.get_unchecked(p as usize) } as usize;
             prefetch_read(self.arena.cap.as_ptr().wrapping_add(e));
             prefetch_read(self.arena.flow.as_ptr().wrapping_add(e));
-            prefetch_read(self.arena.topo.head.as_ptr().wrapping_add(e));
+            prefetch_read(self.arena.head.as_ptr().wrapping_add(e));
         }
     }
 
@@ -626,7 +656,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
             debug_assert!((p as usize) < self.arena.topo.adj_list.len());
             // SAFETY: p < hi <= adj_list.len() per the adj_bounds contract.
             let e = unsafe { *self.arena.topo.adj_list.get_unchecked(p as usize) } as usize;
-            prefetch_read(self.arena.topo.head.as_ptr().wrapping_add(e));
+            prefetch_read(self.arena.head.as_ptr().wrapping_add(e));
         }
     }
 
@@ -704,18 +734,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
         let (a, b) = (&mut self.arena, &other.arena);
         track_grow(&mut a.grows, &mut a.cap, |v| v.clone_from(&b.cap));
         track_grow(&mut a.grows, &mut a.flow, |v| v.clone_from(&b.flow));
-        // A plane already shared with the source is bit-identical by the
-        // copy-on-write invariant — skip the deep topology copy.
-        if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
-            let t = topo_mut(&mut a.topo, &mut a.grows);
-            track_grow(&mut a.grows, &mut t.head, |v| v.clone_from(&b.topo.head));
-            track_grow(&mut a.grows, &mut t.adj_index, |v| {
-                v.clone_from(&b.topo.adj_index)
-            });
-            track_grow(&mut a.grows, &mut t.adj_list, |v| {
-                v.clone_from(&b.topo.adj_list)
-            });
-        }
+        a.copy_shape_from(b);
         self.n = other.n;
         self.dirty = other.dirty;
     }
@@ -751,18 +770,8 @@ impl<W: ArenaIndex> FlowGraph<W> {
             v.clear();
             v.extend(b.flow.iter().map(|f| W::from_i64(f.to_i64())));
         });
-        // Cross-width copies still deep-copy the (width-free) topology
-        // unless it is already shared, same as `copy_from`.
-        if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
-            let t = topo_mut(&mut a.topo, &mut a.grows);
-            track_grow(&mut a.grows, &mut t.head, |v| v.clone_from(&b.topo.head));
-            track_grow(&mut a.grows, &mut t.adj_index, |v| {
-                v.clone_from(&b.topo.adj_index)
-            });
-            track_grow(&mut a.grows, &mut t.adj_list, |v| {
-                v.clone_from(&b.topo.adj_list)
-            });
-        }
+        // The topology is width-free: copied as in `copy_from`.
+        a.copy_shape_from(b);
         self.n = other.n;
         self.dirty = other.dirty;
         Ok(())
@@ -773,18 +782,14 @@ impl<W: ArenaIndex> FlowGraph<W> {
     /// allocation-free. The cleared graph is finalized (no edges to index).
     pub fn reset(&mut self, n: usize) {
         let a = &mut self.arena;
+        a.head.clear();
         a.cap.clear();
         a.flow.clear();
-        // A shared topology plane is about to be invalidated: detach to a
-        // fresh private plane instead of deep-cloning contents we would
-        // clear anyway. The detach (epoch invalidation) counts as a growth
-        // event; an unshared plane keeps its buffers as before.
-        if std::sync::Arc::get_mut(&mut a.topo).is_none() {
-            a.topo = std::sync::Arc::new(TopologyPlane::default());
-            a.grows += 1;
-        }
-        let t = std::sync::Arc::get_mut(&mut a.topo).expect("plane is private here");
-        t.head.clear();
+        // A shared CSR plane is about to be invalidated: detach to a fresh
+        // private plane (the epoch invalidation) instead of deep-cloning
+        // contents we would clear anyway. An unshared plane keeps its
+        // buffers.
+        let t = plane_mut(&mut a.topo, &mut a.grows, false);
         t.adj_list.clear();
         track_grow(&mut a.grows, &mut t.adj_index, |idx| {
             idx.clear();
@@ -853,7 +858,6 @@ impl<W: ArenaIndex> FlowGraph<W> {
             let v = v as u32;
             return self
                 .arena
-                .topo
                 .head
                 .iter()
                 .zip(&self.arena.flow)
@@ -877,7 +881,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
 
     /// Iterator over all forward edge ids.
     pub fn forward_edges(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.arena.topo.head.len()).step_by(2)
+        (0..self.arena.head.len()).step_by(2)
     }
 
     /// Raw CSR offset array (`n + 1` entries). Internal view letting the
@@ -896,29 +900,29 @@ impl<W: ArenaIndex> FlowGraph<W> {
         &self.arena.topo.adj_list
     }
 
-    /// Raw edge-target array, indexed by edge slot.
+    /// Raw edge-target array, indexed by edge slot (private to this graph).
     #[inline]
     pub(crate) fn heads(&self) -> &[u32] {
-        &self.arena.topo.head
+        &self.arena.head
     }
 
-    /// Whether `self` and `other` currently share one topology plane (the
-    /// widths may differ — the plane is width-free). Shared planes are
-    /// bit-identical by construction: any mutation detaches first.
+    /// Whether `self` and `other` currently share one CSR index (the
+    /// widths may differ — the plane is width-free). A shared index is
+    /// bit-identical by construction: any rewrite detaches first.
     pub fn shares_topology_with<V: ArenaIndex>(&self, other: &FlowGraph<V>) -> bool {
         std::sync::Arc::ptr_eq(&self.arena.topo, &other.arena.topo)
     }
 
-    /// Checks out `other`'s finalized topology plane by reference (an O(1)
-    /// `Arc` share — no head/adjacency copy) and copies only its
-    /// capacity/flow planes, width-checked. This is the per-query staging
-    /// path of the epoch-shared arena: the shape is borrowed from the
-    /// epoch's instance, the mutable planes are private to this graph.
+    /// Checks out `other`'s finalized CSR plane by reference (an O(1) `Arc`
+    /// share — no adjacency copy) and copies its per-slot arrays
+    /// (`head`, and `cap`/`flow` width-checked) into this graph's reused
+    /// buffers. This is the per-query staging path of the epoch-shared
+    /// arena: the index is borrowed from the epoch's instance, the
+    /// per-slot arrays are private to this graph.
     ///
     /// On [`WidthOverflow`] `self` is left untouched (validation runs
     /// before any write), exactly like [`FlowGraph::try_copy_from`].
-    /// Allocation-free once the capacity/flow buffers have grown to size
-    /// and the plane is already shared from a previous checkout.
+    /// Allocation-free once the per-slot buffers have grown to size.
     ///
     /// # Panics
     ///
@@ -949,6 +953,7 @@ impl<W: ArenaIndex> FlowGraph<W> {
         if !std::sync::Arc::ptr_eq(&a.topo, &b.topo) {
             a.topo = std::sync::Arc::clone(&b.topo);
         }
+        track_grow(&mut a.grows, &mut a.head, |v| v.clone_from(&b.head));
         track_grow(&mut a.grows, &mut a.cap, |v| {
             v.clear();
             v.extend(b.cap.iter().map(|c| W::from_i64(c.to_i64())));
@@ -1322,10 +1327,13 @@ mod tests {
         ws.checkout_plane_from(&src).unwrap();
         let ws_events = ws.arena().allocation_events();
 
-        // Structural change on the source: the source detaches (one COW
-        // event), the checked-out graph keeps the old epoch's plane.
+        // Structural change on the source: appending an arc writes only
+        // the source's private arrays, so the CSR index stays shared until
+        // the source rebuilds it; then the source detaches (one COW event)
+        // and the checked-out graph keeps the old epoch's plane.
         let src_events = src.arena().allocation_events();
         src.add_edge(0, 3, 1);
+        assert!(ws.shares_topology_with(&src));
         src.finalize();
         assert!(!ws.shares_topology_with(&src));
         assert!(src.arena().allocation_events() > src_events);
@@ -1339,6 +1347,28 @@ mod tests {
         src.reset(2);
         assert!(!ws2.shares_topology_with(&src));
         assert_eq!(ws2.num_edges(), 5);
+
+        // The arc array is private: rebuilding the source to a different
+        // topology of the same size leaves the checked-out graph's targets
+        // and adjacency exactly as they were.
+        let old = diamond();
+        let mut ws3: FlowGraph = FlowGraph::new(0);
+        ws3.checkout_plane_from(&old).unwrap();
+        let mut src = old.clone();
+        src.reset(4);
+        src.add_edge(1, 2, 1);
+        src.add_edge(2, 3, 1);
+        src.add_edge(0, 2, 1);
+        src.add_edge(3, 0, 1);
+        src.finalize();
+        assert_eq!(src.num_edge_slots(), old.num_edge_slots());
+        for e in 0..old.num_edge_slots() {
+            assert_eq!(ws3.target(e), old.target(e));
+            assert_ne!(src.target(e), old.target(e));
+        }
+        for v in 0..old.num_vertices() {
+            assert_eq!(ws3.out_edges(v), old.out_edges(v));
+        }
     }
 
     #[test]

@@ -39,25 +39,20 @@ pub trait IncrementalMaxFlow<W: ArenaIndex = i64> {
     /// phase-1 engine) rely on the full vector being restored, not just
     /// the sink's entry.
     fn excess_snapshot(&self, n: usize) -> Vec<i64> {
-        (0..n).map(|v| self.excess(v)).collect()
+        let mut buf = Vec::with_capacity(n);
+        self.excess_snapshot_into(n, &mut buf);
+        buf
     }
 
     /// Writes the excesses of vertices `0..n` into `buf`, reusing its
     /// allocation — the allocation-free counterpart of
     /// [`IncrementalMaxFlow::excess_snapshot`] for drivers that snapshot
-    /// on every failed probe.
-    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
-        buf.clear();
-        buf.extend((0..n).map(|v| self.excess(v)));
-    }
+    /// on every failed probe. Engines implement it as one slice copy.
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>);
 
     /// Restores a snapshot taken with
-    /// [`IncrementalMaxFlow::excess_snapshot`].
-    fn restore_excess(&mut self, snap: &[i64]) {
-        for (v, &x) in snap.iter().enumerate() {
-            self.set_excess(v, x);
-        }
-    }
+    /// [`IncrementalMaxFlow::excess_snapshot`] (one slice copy).
+    fn restore_excess(&mut self, snap: &[i64]);
 
     /// Cumulative `(pushes, relabels)` performed by this engine since
     /// construction. Monotonically non-decreasing across runs, so drivers
@@ -71,11 +66,7 @@ pub trait IncrementalMaxFlow<W: ArenaIndex = i64> {
     /// for an unrelated problem that starts from a zero-flow graph via
     /// [`IncrementalMaxFlow::resume`]. Without this, excess left at the
     /// sink by the previous solve would be double-counted.
-    fn reset_excess(&mut self, n: usize) {
-        for v in 0..n {
-            self.set_excess(v, 0);
-        }
-    }
+    fn reset_excess(&mut self, n: usize);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,6 +231,14 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for crate::push_relabel::PushRelabel {
     fn reset_excess(&mut self, n: usize) {
         crate::push_relabel::PushRelabel::reset_excess(self, n)
     }
+
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        crate::push_relabel::PushRelabel::excess_snapshot_into(self, n, buf)
+    }
+
+    fn restore_excess(&mut self, snap: &[i64]) {
+        crate::push_relabel::PushRelabel::restore_excess(self, snap)
+    }
 }
 
 #[cfg(test)]
@@ -259,8 +258,17 @@ mod tests {
         let mut buf = Vec::new();
         engine.excess_snapshot_into(3, &mut buf);
         assert_eq!(buf, engine.excess_snapshot(3));
+        assert_eq!(buf, [0, 0, 5]);
         engine.set_excess(2, 0);
         assert_eq!(engine.excess(2), 0);
+        engine.restore_excess(&buf);
+        assert_eq!(engine.excess(2), 5);
+        // Vertices past the engine's size snapshot as zero excess, and
+        // restoring them sizes the engine.
+        assert_eq!(engine.excess_snapshot(5), [0, 0, 5, 0, 0]);
+        engine.restore_excess(&[0, 0, 5, 0, 7]);
+        assert_eq!(engine.excess(4), 7);
+        engine.set_excess(4, 0);
         // A reset engine solves a fresh zero-flow problem via resume as if
         // it were new.
         engine.reset_excess(3);

@@ -845,18 +845,14 @@ impl ParallelPushRelabel {
         if stalled {
             // Defensive fallback: finish with the (two-phase) sequential
             // engine rather than risk a silently suboptimal schedule.
-            for v in 0..n {
-                self.fixup.set_excess(v, self.excess[v]);
-            }
+            self.fixup.restore_excess(&self.excess[..n]);
             let before = self.fixup.stats.pushes;
             let relabels_before = self.fixup.stats.relabels;
             let val = self.fixup.resume(g, s, t);
             self.last_run.fixup_pushes = self.fixup.stats.pushes - before;
             self.total_pushes += self.last_run.fixup_pushes;
             self.total_relabels += self.fixup.stats.relabels - relabels_before;
-            for v in 0..n {
-                self.excess[v] = self.fixup.excess(v);
-            }
+            self.fixup.excess_snapshot_into(n, &mut self.excess);
             return val;
         }
 
@@ -937,6 +933,15 @@ impl<W: ArenaIndex> IncrementalMaxFlow<W> for ParallelPushRelabel {
 
     fn reset_excess(&mut self, n: usize) {
         ParallelPushRelabel::reset_excess(self, n)
+    }
+
+    fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        crate::push_relabel::snapshot_into(&self.excess, n, buf);
+    }
+
+    fn restore_excess(&mut self, snap: &[i64]) {
+        self.ensure(snap.len());
+        self.excess[..snap.len()].copy_from_slice(snap);
     }
 }
 

@@ -14,7 +14,7 @@
 //! the source and sink has zero excess — exactly the invariant the paper's
 //! Algorithm 5 relies on when it conserves flows between runs.
 
-use crate::graph::{ArenaIndex, EdgeId, FlowGraph, VertexId};
+use crate::graph::{ArenaIndex, FlowGraph, VertexId};
 use std::collections::VecDeque;
 
 /// Operation counters, exposed for benchmarks and ablation studies.
@@ -61,6 +61,14 @@ impl Default for PushRelabel {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Copies `excess[..n]` into `buf`, reading vertices the engine has not
+/// sized yet as 0 (the value [`PushRelabel::excess`] reports for them).
+pub(crate) fn snapshot_into(excess: &[i64], n: usize, buf: &mut Vec<i64>) {
+    buf.clear();
+    buf.extend_from_slice(&excess[..n.min(excess.len())]);
+    buf.resize(n, 0);
 }
 
 /// Amount of edge-scan work between global relabeling passes, as a multiple
@@ -130,6 +138,21 @@ impl PushRelabel {
         }
     }
 
+    /// Writes the excesses of vertices `0..n` into `buf` with one slice
+    /// copy (see
+    /// [`crate::incremental::IncrementalMaxFlow::excess_snapshot_into`]).
+    pub fn excess_snapshot_into(&self, n: usize, buf: &mut Vec<i64>) {
+        snapshot_into(&self.excess, n, buf);
+    }
+
+    /// Restores a snapshot of the excesses of vertices
+    /// `0..snap.len()` with one slice copy (see
+    /// [`crate::incremental::IncrementalMaxFlow::restore_excess`]).
+    pub fn restore_excess(&mut self, snap: &[i64]) {
+        self.ensure(snap.len());
+        self.excess[..snap.len()].copy_from_slice(snap);
+    }
+
     fn ensure(&mut self, n: usize) {
         if self.height.len() < n {
             self.height.resize(n, 0);
@@ -176,6 +199,7 @@ impl PushRelabel {
         assert_ne!(s, t, "source and sink must differ");
         g.finalize();
         let n = g.num_vertices();
+        assert!(s < n, "source {s} out of range");
         self.ensure(n);
         self.queue.clear();
         self.in_queue.iter_mut().for_each(|b| *b = false);
@@ -185,21 +209,16 @@ impl PushRelabel {
         // only be circulation through s (t-to-s components would need
         // outflow at t, which push-relabel never creates); cancelling it
         // keeps the zero-height relabeling valid and frees capacity that
-        // a resume after capacity increases may need.
-        for i in 0..g.out_edges(s).len() {
-            let e = g.out_edges(s)[i] as EdgeId;
-            let delta = g.residual(e);
-            if e.is_multiple_of(2) {
-                if delta > 0 {
-                    let v = g.target(e);
-                    g.push(e, delta);
-                    self.excess[v] += delta;
-                }
-            } else if delta > 0 {
-                // Reverse slot: its pair is a forward edge (v -> s)
-                // carrying `delta` units; push them back onto v.
-                let v = g.target(e);
-                g.push(e, delta);
+        // a resume after capacity increases may need. Both are one rule:
+        // a reverse slot's residual is the flow its pair (v -> s) carries,
+        // so pushing it moves those units back onto v.
+        let (lo, hi) = g.adj_bounds(s);
+        for pos in lo..hi {
+            let e = g.adj_slot(pos);
+            let delta = g.residual_fast(e);
+            if delta > 0 {
+                let v = g.target_fast(e);
+                g.push_fast(e, delta);
                 self.excess[v] += delta;
             }
         }

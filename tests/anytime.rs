@@ -253,3 +253,38 @@ fn engine_batches_surface_budget_expirations_in_stats() {
     assert_eq!(engine.stats().solve_stats.budget_expirations, 6);
     assert!(engine.stats().solve_stats.anytime_gap >= Micros::ZERO);
 }
+
+/// A wall-clock limit whose deadline lies beyond the clock's range is no
+/// limit at all: sessions and engine batches armed with `Duration::MAX`
+/// solve to the optimum without expiring, panicking or failing a shard.
+#[test]
+fn wall_clock_budget_past_the_clock_range_never_expires() {
+    let system = paper_example();
+    let alloc = OrthogonalAllocation::paper_7x7();
+    let buckets = RangeQuery::new(0, 0, 4, 4).buckets(7);
+    let optimum = oracle_optimal_response(&RetrievalInstance::build(&system, &alloc, &buckets));
+    let spec = SolverSpec::new(SolverKind::PushRelabelBinary)
+        .budget(SolveBudget::unlimited().with_wall_clock(Duration::MAX));
+
+    let mut session = RetrievalSession::from_spec(&system, &alloc, &spec);
+    let out = session.submit(Micros::ZERO, &buckets).unwrap();
+    assert_eq!(out.outcome.response_time, optimum);
+    assert_eq!(out.outcome.stats.budget_expirations, 0);
+
+    let mut engine = Engine::builder(&system, &alloc)
+        .solver_spec(spec)
+        .shards(2)
+        .build();
+    let queries: Vec<BatchQuery> = (0..4)
+        .map(|s| BatchQuery {
+            stream: s,
+            arrival: Micros::ZERO,
+            buckets: buckets.clone(),
+        })
+        .collect();
+    for result in engine.submit_batch(&queries) {
+        assert_eq!(result.unwrap().outcome.response_time, optimum);
+    }
+    assert_eq!(engine.stats().shard_failures, 0);
+    assert_eq!(engine.stats().solve_stats.budget_expirations, 0);
+}
